@@ -1,11 +1,11 @@
 """JSON-lines checkpointing: crash-safe progress, exact resume.
 
-The checkpoint is an append-only ``.jsonl`` file: a header line
-binding it to one spec fingerprint, then one line per finished shard
-(successful, failed-after-retries, or skipped by early stop).  Append
-+ flush after every shard means a killed run loses at most the shard
-in flight; a trailing partial line (the kill landed mid-write) is
-ignored on load.
+The checkpoint is an append-only ``.jsonl`` file (:mod:`repro.jsonl`):
+a header line binding it to one spec fingerprint, then one line per
+finished shard (successful, failed-after-retries, or skipped by early
+stop).  Append + flush after every shard means a killed run loses at
+most the shard in flight; a torn line (the kill landed mid-write) is
+skipped on load and terminated before the resumed run appends.
 
 Resume is exact by construction: finished shards are skipped, the
 shards that do run draw the same per-shard seed streams they always
@@ -16,11 +16,11 @@ an uninterrupted run's.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Optional
 
 from repro.campaign.spec import CampaignError, CampaignSpec
+from repro.jsonl import JsonlLog, read_jsonl
 
 FORMAT_VERSION = 1
 
@@ -31,70 +31,47 @@ class Checkpoint:
     def __init__(self, path, spec: CampaignSpec):
         self.path = os.fspath(path)
         self.fingerprint = spec.fingerprint()
-        self._fh = None
+        self._log = JsonlLog(self.path)
+        self._needs_header = None       # unknown until load()
 
     # -- loading ------------------------------------------------------------
 
     def load(self) -> list:
         """Previously recorded outcome dicts, validating the header.
 
-        Returns ``[]`` if the file does not exist yet.  Raises
-        :class:`CampaignError` if the checkpoint belongs to a different
-        spec.
+        Returns ``[]`` if the file holds no intact record yet.  Raises
+        :class:`CampaignError` if the first intact record is not a
+        header for this spec.
         """
-        if not os.path.exists(self.path):
+        records = read_jsonl(self.path)
+        self._needs_header = not records
+        if not records:
             return []
-        records = []
-        with open(self.path) as fh:
-            for i, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError:
-                    # torn tail write from a killed run; everything
-                    # before it is intact
-                    break
-                if i == 0:
-                    if rec.get("type") != "header":
-                        raise CampaignError(
-                            f"{self.path}: not a campaign checkpoint")
-                    if rec.get("fingerprint") != self.fingerprint:
-                        raise CampaignError(
-                            f"{self.path}: checkpoint fingerprint "
-                            f"{rec.get('fingerprint')} does not match spec "
-                            f"{self.fingerprint}; refusing to mix campaigns")
-                elif rec.get("type") == "shard":
-                    records.append(rec)
-        return records
+        header = records[0]
+        if header.get("type") != "header":
+            raise CampaignError(f"{self.path}: not a campaign checkpoint")
+        if header.get("fingerprint") != self.fingerprint:
+            raise CampaignError(
+                f"{self.path}: checkpoint fingerprint "
+                f"{header.get('fingerprint')} does not match spec "
+                f"{self.fingerprint}; refusing to mix campaigns")
+        return [rec for rec in records[1:] if rec.get("type") == "shard"]
 
     # -- appending ----------------------------------------------------------
-
-    def _ensure_open(self) -> None:
-        if self._fh is not None:
-            return
-        fresh = not os.path.exists(self.path) \
-            or os.path.getsize(self.path) == 0
-        self._fh = open(self.path, "a")
-        if fresh:
-            self._write({"type": "header", "version": FORMAT_VERSION,
-                         "fingerprint": self.fingerprint})
-
-    def _write(self, rec: dict) -> None:
-        self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        self._fh.flush()
 
     def append(self, outcome) -> None:
         """Record one finished shard (a
         :class:`~repro.campaign.pool.ShardOutcome`)."""
-        self._ensure_open()
-        self._write({"type": "shard", **outcome.to_dict()})
+        if self._needs_header is None:
+            self.load()
+        if self._needs_header:
+            self._log.append({"type": "header", "version": FORMAT_VERSION,
+                              "fingerprint": self.fingerprint})
+            self._needs_header = False
+        self._log.append({"type": "shard", **outcome.to_dict()})
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._log.close()
 
     def __enter__(self) -> "Checkpoint":
         return self

@@ -59,9 +59,10 @@ def _add_run_args(sub: argparse.ArgumentParser) -> None:
                      help="execute at most N shards, then exit "
                           "incomplete (checkpoint stays resumable)")
     sub.add_argument("--backend", choices=sorted(BACKENDS), default=None,
-                     help="pin every job's simulator backend "
-                          "(naive/event/fastpath); changes the campaign "
-                          "fingerprint")
+                     help="pin the simulator backend "
+                          "(naive/event/fastpath) of every job that runs "
+                          "the array (chaos, ofdm_link receiver=array); "
+                          "changes the campaign fingerprint")
     sub.add_argument("--flight", action="store_true",
                      help="arm the per-shard flight recorder (tracer "
                           "spans, metrics and probes ride the checkpoint)")
@@ -104,12 +105,12 @@ class _Progress:
 def _cmd_run(args, *, resume: bool) -> int:
     try:
         spec = CampaignSpec.load(args.spec)
+        if args.backend:
+            spec = spec.with_backend(args.backend)
     except (OSError, json.JSONDecodeError, CampaignError) as exc:
         print(f"error: cannot load spec {args.spec}: {exc}",
               file=sys.stderr)
         return 2
-    if args.backend:
-        spec = spec.with_backend(args.backend)
     if resume:
         if not args.checkpoint:
             print("error: resume needs --checkpoint", file=sys.stderr)

@@ -42,6 +42,9 @@ KINDS = ("wcdma_dpch", "ofdm_link", "rake_scenarios", "fault", "chaos")
 #: the choice through ``REPRO_XPP_SCHEDULER``.
 BACKENDS = ("naive", "event", "fastpath")
 
+#: The jobs a backend can affect (see :attr:`JobSpec.uses_array`).
+ARRAY_JOBS = "chaos jobs and ofdm_link jobs with receiver 'array'"
+
 
 @dataclass(frozen=True)
 class EarlyStop:
@@ -112,10 +115,23 @@ class JobSpec:
             raise CampaignError(f"job {self.job_id!r}: unknown backend "
                                 f"{self.backend!r}; expected one of "
                                 f"{BACKENDS}")
+        if self.backend != "event" and not self.uses_array:
+            raise CampaignError(f"job {self.job_id!r}: backend "
+                                f"{self.backend!r} has no effect on a "
+                                f"{self.kind} job; it applies only to "
+                                f"{ARRAY_JOBS}")
 
     @property
     def param_dict(self) -> dict:
         return dict(self.params)
+
+    @property
+    def uses_array(self) -> bool:
+        """Whether the job runs kernels on the simulated array — the
+        only jobs whose results a ``backend`` can reach."""
+        return self.kind == "chaos" or (
+            self.kind == "ofdm_link"
+            and self.param_dict.get("receiver") == "array")
 
     def to_dict(self) -> dict:
         out = {"job_id": self.job_id, "kind": self.kind,
@@ -173,12 +189,17 @@ class CampaignSpec:
                 "jobs": [j.to_dict() for j in self.jobs]}
 
     def with_backend(self, backend: str) -> "CampaignSpec":
-        """A copy of this campaign with every job pinned to ``backend``
-        (a CLI ``--backend`` override).  Changing the backend changes
-        the fingerprint, so a checkpoint recorded under one simulator
-        backend refuses to resume under another."""
+        """A copy of this campaign with every job that runs the array
+        pinned to ``backend`` (a CLI ``--backend`` override); other
+        jobs are left as they are, and a campaign with no such job is
+        refused.  Changing the backend changes the fingerprint, so a
+        checkpoint recorded under one simulator backend refuses to
+        resume under another."""
+        if not any(j.uses_array for j in self.jobs):
+            raise CampaignError(f"campaign {self.name!r}: backend has no "
+                                f"effect; it applies only to {ARRAY_JOBS}")
         jobs = tuple(dataclasses.replace(j, backend=backend)
-                     for j in self.jobs)
+                     if j.uses_array else j for j in self.jobs)
         return dataclasses.replace(self, jobs=jobs)
 
     def fingerprint(self) -> str:

@@ -33,7 +33,6 @@ from repro.fastpath.cache import (
     clear_memory_cache,
     compile_graph,
     graph_fingerprint,
-    warmup,
 )
 from repro.fastpath.capture import capture, capture_sets, check_runtime_state
 from repro.fastpath.explain import CompileReport, ObjectVerdict, explain
@@ -85,7 +84,6 @@ __all__ = [
     "graph_fingerprint",
     "reset_fallback_warnings",
     "value_streams",
-    "warmup",
 ]
 
 

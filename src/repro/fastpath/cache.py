@@ -40,7 +40,6 @@ import tempfile
 import threading
 from collections import OrderedDict
 
-from repro.fastpath.capture import capture_sets
 from repro.fastpath.ir import Graph
 from repro.fastpath.lower import FIRES_CHECK, STATE_CHECK, emit_epoch, emit_trace
 from repro.telemetry.metrics import get_metrics
@@ -240,19 +239,6 @@ def probe(fp: str) -> str:
     if d is not None and os.path.exists(artifact_path(fp)):
         return "disk"
     return "miss"
-
-
-def warmup(objs, wires) -> tuple:
-    """Capture + compile an explicit object/wire set into the cache.
-
-    ``(fingerprint, hit)`` on success; raises ``UnsupportedGraphError``
-    for netlists the compiler rejects (callers doing speculative
-    prefetch catch it — the eventual swap just compiles on first step,
-    exactly as without warm-up).
-    """
-    graph = capture_sets(objs, wires)
-    _, _, fp, hit = compile_graph(graph)
-    return fp, hit
 
 
 def clear_memory_cache() -> None:

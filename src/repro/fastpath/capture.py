@@ -33,9 +33,8 @@ def capture(manager) -> Graph:
 
 
 def capture_sets(objs, wires) -> Graph:
-    """Capture explicit object/wire sets (the manager-free seam used by
-    :meth:`repro.xpp.manager.ConfigurationManager.prefetch` to compile a
-    hypothetical post-swap resident set ahead of the swap)."""
+    """Capture explicit object/wire sets (the manager-free seam behind
+    :func:`capture`)."""
     if not objs:
         raise UnsupportedGraphError("no resident configurations",
                                     code=REASON_EMPTY_NETLIST)

@@ -169,15 +169,11 @@ class SessionBroker:
                  checkpoint_interval: int = 4,
                  journal_path=None,
                  mp_context: Optional[str] = None,
-                 backend: Optional[str] = None,
-                 cache_dir: Optional[str] = None,
                  flight: bool = False,
                  chaos: Optional[dict] = None,
                  respawn_dead: bool = True,
-                 warmup: bool = True,
                  step_timeout_s: float = 120.0):
         self.pool = ShardPool(n_shards, mp_context=mp_context,
-                              backend=backend, cache_dir=cache_dir,
                               journal_path=journal_path, flight=flight,
                               chaos=chaos)
         self.journal = ServeJournal(journal_path) \
@@ -190,7 +186,6 @@ class SessionBroker:
         self.slot_deadline_s = slot_deadline_s
         self.checkpoint_interval = max(1, checkpoint_interval)
         self.respawn_dead = respawn_dead
-        self.warmup = warmup
         self.step_timeout_s = step_timeout_s
 
         self.probes = ProbeBoard(keep_samples=0)
@@ -198,7 +193,6 @@ class SessionBroker:
         self.entries: dict = {}
         self.queue: deque = deque()
         self.shed: list = []
-        self._warmed: dict = {}         # shard index -> set of kinds
         self._slot_s: list = []
         self._deadline_misses = 0
         self._migrations = 0
@@ -271,13 +265,10 @@ class SessionBroker:
                 break
             sid = self.queue.popleft()
             entry = self.entries[sid]
-            warmed = self._warmed.setdefault(shard.index, set())
-            warm = self.warmup and entry.spec.kind not in warmed
             if not self.pool.send(shard, ("admit", entry.spec.to_dict(),
-                                          entry.state, warm)):
+                                          entry.state)):
                 self.queue.appendleft(sid)
                 continue
-            warmed.add(entry.spec.kind)
             entry.shard = shard.index
             entry.shard_history.append(shard.index)
             shard.resident.add(sid)

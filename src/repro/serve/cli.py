@@ -74,14 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--deadline", type=float, default=None,
                      help="per-slot deadline in seconds")
     run.add_argument("--checkpoint-interval", type=int, default=4)
-    run.add_argument("--backend", help="REPRO_XPP_SCHEDULER for shards")
-    run.add_argument("--cache-dir",
-                     help="shared fastpath compile cache directory")
     run.add_argument("--mp-context", choices=("fork", "spawn"))
     run.add_argument("--no-respawn", action="store_true",
                      help="do not replace dead shards")
-    run.add_argument("--no-warmup", action="store_true",
-                     help="skip kernel prefetch on admit")
     run.add_argument("--kill-shard", type=int, default=None,
                      help="chaos: this shard dies mid-traffic")
     run.add_argument("--kill-after", type=int, default=2,
@@ -137,9 +132,8 @@ def _cmd_run(args) -> int:
         slot_deadline_s=args.deadline,
         checkpoint_interval=args.checkpoint_interval,
         journal_path=args.journal, mp_context=args.mp_context,
-        backend=args.backend, cache_dir=args.cache_dir,
         flight=args.flight or bool(args.trace), chaos=chaos,
-        respawn_dead=not args.no_respawn, warmup=not args.no_warmup)
+        respawn_dead=not args.no_respawn)
     result = broker.run(list(resumed) + list(specs))
 
     if args.report:

@@ -10,8 +10,8 @@ doubles as a heartbeat):
 ===========================  ==========================================
 parent -> child              child -> parent
 ===========================  ==========================================
-``("admit", spec, state,     ``("ok", "admit", {session_id,
-warmup)``                    slot_cursor})``
+``("admit", spec, state)``   ``("ok", "admit", {session_id,
+                             slot_cursor})``
 ``("step",)``                ``("ok", "step", {advanced: [...],
                              slot_s: [...]})``
 ``("drain", sid)``           ``("ok", "drain", {session_id, state})``
@@ -29,11 +29,10 @@ broker always holds a current checkpoint: migration after a shard
 death is "re-admit the last returned state on another shard", with no
 replay gap, and planned (live) migration is ``drain`` -> ``admit``.
 
-Shards mount the shared fastpath compile cache
-(``REPRO_FASTPATH_CACHE_DIR``) and can warm it on admit via
-:meth:`repro.xpp.manager.ConfigurationManager.prefetch` — the K-PACT
-idiom: the first shard to admit a session kind compiles its kernels,
-every other resident shard loads the ``.fpk`` artifact.
+Sessions run the golden numpy receivers
+(:class:`repro.rake.session.RakeSession`,
+:class:`repro.ofdm.receiver.OfdmReceiver`), so a shard maps nothing
+onto the simulated array and needs no scheduler or compile cache.
 """
 
 from __future__ import annotations
@@ -46,52 +45,10 @@ from repro.pool import WorkerHandle, resolve_mp_context, wait_workers
 from repro.serve.journal import ServeJournal
 from repro.serve.session import SessionSpec, workload_from_state
 
-#: Environment keys exported into every shard worker (kept in sync with
-#: the campaign runner's no-import rule).
-_SCHEDULER_ENV = "REPRO_XPP_SCHEDULER"
-_CACHE_DIR_ENV = "REPRO_FASTPATH_CACHE_DIR"
-
-
-def _warmup_kernels(kind: str) -> int:
-    """Prefetch-compile the kernels a session kind maps onto the array.
-
-    Returns how many configurations were warmed.  Failures are
-    swallowed — warm-up is an optimisation, never a correctness
-    dependency — but counted on the ``serve.warmup_failed`` metric.
-    """
-    from repro.telemetry import get_metrics
-    from repro.xpp.manager import ConfigurationManager
-
-    builders = []
-    if kind == "rake":
-        from repro.kernels.descrambler import build_descrambler_config
-        from repro.kernels.despreader import build_despreader_config
-        builders = [lambda: build_descrambler_config(),
-                    lambda: build_despreader_config(3, 16)]
-    elif kind == "ofdm":
-        from repro.kernels.fft64 import build_fft_stage_config
-        builders = [lambda: build_fft_stage_config(0, [0] * 64)]
-    warmed = 0
-    mgr = ConfigurationManager()
-    for build in builders:
-        try:
-            if mgr.prefetch(build()) is not None:
-                warmed += 1
-        except Exception:
-            metrics = get_metrics()
-            if metrics.enabled:
-                metrics.counter("serve.warmup_failed").inc()
-    return warmed
-
 
 def shard_main(conn, shard_index: int, options: Optional[dict] = None):
     """Worker-process body: serve commands until ``stop`` or EOF."""
     options = options or {}
-    if options.get("backend"):
-        os.environ[_SCHEDULER_ENV] = options["backend"]
-    if options.get("cache_dir"):
-        os.environ[_CACHE_DIR_ENV] = options["cache_dir"]
-
     flight = None
     if options.get("flight"):
         from repro.telemetry.flight import FlightRecorder
@@ -144,14 +101,12 @@ def shard_main(conn, shard_index: int, options: Optional[dict] = None):
 def _handle(msg, resident, shard_index, journal, steps, die_after):
     cmd = msg[0]
     if cmd == "admit":
-        _cmd, spec_dict, state, warmup = msg
+        _cmd, spec_dict, state = msg
         spec = SessionSpec.from_dict(spec_dict)
         workload = workload_from_state(spec, state)
         resident[spec.session_id] = workload
-        warmed = _warmup_kernels(spec.kind) if warmup else 0
         return ("ok", "admit", {"session_id": spec.session_id,
-                                "slot_cursor": workload.slot_cursor,
-                                "warmed": warmed})
+                                "slot_cursor": workload.slot_cursor})
     if cmd == "step":
         if die_after is not None and steps + 1 >= int(die_after):
             # chaos seam: a kill -9 mid-traffic, no goodbye on the pipe
@@ -226,15 +181,12 @@ class ShardPool:
     """
 
     def __init__(self, n_shards: int, *, mp_context: Optional[str] = None,
-                 backend: Optional[str] = None,
-                 cache_dir: Optional[str] = None,
                  journal_path=None, flight: bool = False,
                  max_events: int = 4096, chaos: Optional[dict] = None):
         if n_shards < 1:
             raise ValueError("need at least one shard")
         self.ctx = resolve_mp_context(mp_context)
-        self.options = {"backend": backend, "cache_dir": cache_dir,
-                        "journal_path": os.fspath(journal_path)
+        self.options = {"journal_path": os.fspath(journal_path)
                         if journal_path is not None else None,
                         "flight": flight, "max_events": max_events}
         self.chaos = chaos or {}

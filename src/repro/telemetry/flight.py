@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from typing import Optional
 
+from repro.jsonl import JsonlLog, read_jsonl
 from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
@@ -356,49 +356,12 @@ def events_path_for(checkpoint_path) -> str:
     return os.fspath(checkpoint_path) + ".events.jsonl"
 
 
-class EventLog:
-    """Append-only JSONL lifecycle log (flush per event, torn-tail
-    tolerant on read — same discipline as the checkpoint)."""
+#: The lifecycle log is a plain :mod:`repro.jsonl` event log: one
+#: flushed line per ``emit``, torn lines skipped by :func:`read_events`.
+EventLog = JsonlLog
 
-    def __init__(self, path):
-        self.path = os.fspath(path)
-        self._fh = None
-
-    def emit(self, event: str, **fields) -> dict:
-        rec = {"t": round(time.time(), 3), "event": event, **fields}
-        if self._fh is None:
-            self._fh = open(self.path, "a")
-        self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        self._fh.flush()
-        return rec
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "EventLog":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def read_events(path) -> list:
-    """All intact event records of a lifecycle log (``[]`` if absent)."""
-    if not os.path.exists(path):
-        return []
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                break               # torn tail from a killed run
-    return records
+#: All intact event records of a lifecycle log (``[]`` if absent).
+read_events = read_jsonl
 
 
 def _exact_percentile(values, q: float) -> Optional[float]:
@@ -475,7 +438,7 @@ def status_summary(checkpoint_path, spec=None) -> dict:
             fingerprint = spec.fingerprint()
         else:
             # no spec: read shard records without the fingerprint guard
-            for rec in read_events(checkpoint_path):
+            for rec in read_jsonl(checkpoint_path):
                 if rec.get("type") == "shard":
                     records.append(rec)
                 elif rec.get("type") == "header":

@@ -231,60 +231,6 @@ class ConfigurationManager:
         self._objects_cache = None
         self._wires_cache = None
 
-    # -- prefetch ----------------------------------------------------------------
-
-    def prefetch(self, config: Configuration, *, removing=(),
-                 background: bool = False):
-        """Warm the fastpath compile cache for a swap that hasn't landed.
-
-        Fig. 10 swaps follow a known script — configuration 2a comes out,
-        2b goes in — so the kernel for the post-swap netlist can be
-        compiled while 2a is still running (K-PACT-style prefetch: the
-        configuration is staged before it is requested).  Builds the
-        hypothetical resident set (current objects/wires minus
-        ``removing`` configuration names, plus ``config``) and compiles
-        it into :mod:`repro.fastpath.cache`; when the swap lands, the
-        scheduler's recompile is a cache hit.
-
-        Returns the graph fingerprint, or None when the hypothetical
-        netlist is not fastpath-compilable (the swap simply compiles
-        nothing ahead; running it falls back exactly as without
-        prefetch).  With ``background=True`` compilation runs on a
-        daemon thread and the thread is returned instead.
-        """
-        if background:
-            import threading
-            t = threading.Thread(
-                target=self.prefetch, args=(config,),
-                kwargs={"removing": removing}, daemon=True,
-                name=f"fastpath-prefetch:{config.name}")
-            t.start()
-            return t
-
-        from repro.fastpath.cache import warmup
-        from repro.fastpath.ir import UnsupportedGraphError
-
-        drop = {removing} if isinstance(removing, str) else set(removing)
-        objs = [o for name, entry in self.loaded.items() if name not in drop
-                for o in entry.config.objects]
-        wires = [w for name, entry in self.loaded.items() if name not in drop
-                 for w in entry.config.wires]
-        objs.extend(config.objects)
-        wires.extend(config.wires)
-        try:
-            fp, hit = warmup(objs, wires)
-        except UnsupportedGraphError:
-            return None
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("fastpath.prefetch").inc()
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant(f"config.prefetch:{config.name}", "config",
-                           args={"config": config.name,
-                                 "fingerprint": fp[:12], "cached": hit})
-        return fp
-
     # -- queries -----------------------------------------------------------------
 
     def is_loaded(self, name: str) -> bool:

@@ -40,6 +40,45 @@ class TestResume:
         assert resumed.stats["executed_shards"] == 3
         assert _bytes(resumed) == _bytes(full)
 
+    def test_torn_tail_then_resume_keeps_later_records(self, tmp_path):
+        """A kill mid-write leaves a newline-less fragment at the end
+        of the checkpoint and the event log.  The resumed run must
+        terminate it before appending, so every record it writes stays
+        visible to the next load, resume and status."""
+        from repro.campaign.checkpoint import Checkpoint
+        from repro.campaign.cli import main
+        from repro.telemetry import flight
+
+        spec_dict = {"name": "torn", "master_seed": 3,
+                     "jobs": [{"job_id": "f", "kind": "fault",
+                               "shards": 6}]}
+        spec = CampaignSpec.from_dict(spec_dict)
+        ck = tmp_path / "ck.jsonl"
+        events = flight.events_path_for(ck)
+        first = run_campaign(spec, workers=1, checkpoint_path=ck,
+                             max_shards=3)
+        assert first.stats["executed_shards"] == 3
+        for path in (ck, events):
+            with open(path, "a") as fh:
+                fh.write('{"type": "shard", "jo')      # the kill
+
+        resumed = run_campaign(spec, workers=1, checkpoint_path=ck)
+        assert resumed.stats["executed_shards"] == 3
+        assert len(Checkpoint(ck, spec).load()) == 6
+        again = run_campaign(spec, workers=1, checkpoint_path=ck)
+        assert again.stats["executed_shards"] == 0
+        assert _bytes(again) == _bytes(run_campaign(spec, workers=1))
+
+        log = flight.read_events(events)
+        assert [e["resumed_shards"] for e in log
+                if e["event"] == "campaign_start"] == [0, 3, 6]
+        assert sum(e["event"] == "shard_finish" for e in log) == 6
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec_dict))
+        assert main(["status", "--checkpoint", str(ck),
+                     "--spec", str(spec_path)]) == 0
+
     def test_max_shards_interrupt_then_resume(self, tmp_path):
         """--max-shards style interruption: the first call stops after
         its budget with an incomplete aggregate; resume finishes and
@@ -95,6 +134,17 @@ class TestResume:
         ck.write_text('{"hello": "world"}\n')
         with pytest.raises(CampaignError, match="not a campaign"):
             run_campaign(_spec(), workers=1, checkpoint_path=ck)
+
+    def test_checkpoint_with_no_intact_record_starts_fresh(self, tmp_path):
+        """A run killed while writing the header leaves only a
+        fragment: the next run treats the file as fresh and writes a
+        header, so the run after it resumes everything."""
+        ck = tmp_path / "ck.jsonl"
+        ck.write_text('{"type": "hea')
+        assert run_campaign(_spec(), workers=1, checkpoint_path=ck).complete
+        again = run_campaign(_spec(), workers=1, checkpoint_path=ck)
+        assert again.stats["executed_shards"] == 0
+        assert again.stats["resumed_shards"] == 6
 
     def test_failed_shards_are_not_resumed(self, tmp_path):
         """A shard that exhausted its retries is recorded; resume does

@@ -270,7 +270,8 @@ def test_jobspec_backend_roundtrip_and_fingerprint():
     from repro.campaign.spec import CampaignError, CampaignSpec
 
     d = {"name": "c", "master_seed": 1,
-         "jobs": [{"job_id": "j", "kind": "rake_scenarios", "shards": 1}]}
+         "jobs": [{"job_id": "j", "kind": "chaos", "shards": 1,
+                   "params": {"n_chips": 16}}]}
     spec = CampaignSpec.from_dict(d)
     assert spec.jobs[0].backend == "event"
     # default backend stays out of the canonical form: fingerprints of
@@ -289,14 +290,36 @@ def test_jobspec_backend_roundtrip_and_fingerprint():
         CampaignSpec.from_dict(d2)
 
 
+def test_backend_rejected_where_no_array_runs():
+    from repro.campaign.spec import CampaignError, CampaignSpec
+
+    rake = {"job_id": "r", "kind": "rake_scenarios", "shards": 1}
+    with pytest.raises(CampaignError, match="chaos jobs and ofdm_link"):
+        CampaignSpec.from_dict({"name": "c", "master_seed": 1,
+                                "jobs": [dict(rake, backend="fastpath")]})
+    with pytest.raises(CampaignError, match="no effect"):
+        CampaignSpec.from_dict({"name": "c", "master_seed": 1,
+                                "jobs": [rake]}).with_backend("fastpath")
+    # a mixed campaign pins only the jobs that run the array
+    mixed = CampaignSpec.from_dict({
+        "name": "c", "master_seed": 1,
+        "jobs": [rake,
+                 {"job_id": "golden", "kind": "ofdm_link", "shards": 1},
+                 {"job_id": "array", "kind": "ofdm_link", "shards": 1,
+                  "params": {"receiver": "array"}},
+                 {"job_id": "chaos", "kind": "chaos", "shards": 1}]})
+    assert [j.backend for j in mixed.with_backend("fastpath").jobs] \
+        == ["event", "event", "fastpath", "fastpath"]
+
+
 def test_shard_tasks_carry_backend():
     from repro.campaign.sharding import build_shards
     from repro.campaign.spec import CampaignSpec
 
     spec = CampaignSpec.from_dict({
         "name": "c", "master_seed": 1,
-        "jobs": [{"job_id": "j", "kind": "rake_scenarios",
-                  "shards": 2, "backend": "fastpath"}]})
+        "jobs": [{"job_id": "j", "kind": "chaos", "shards": 2,
+                  "params": {"n_chips": 16}, "backend": "fastpath"}]})
     assert [t.backend for t in build_shards(spec)] == ["fastpath"] * 2
 
 
@@ -309,18 +332,18 @@ def test_run_shard_exports_and_restores_scheduler_env(monkeypatch):
     monkeypatch.setenv(SCHEDULER_ENV, "naive")
     spec = CampaignSpec.from_dict({
         "name": "c", "master_seed": 1,
-        "jobs": [{"job_id": "j", "kind": "rake_scenarios", "shards": 1,
-                  "backend": "fastpath"}]})
+        "jobs": [{"job_id": "j", "kind": "chaos", "shards": 1,
+                  "params": {"n_chips": 16}, "backend": "fastpath"}]})
     seen = {}
     import repro.campaign.runners as runners
 
-    orig = runners.RUNNERS["rake_scenarios"]
+    orig = runners.RUNNERS["chaos"]
 
     def spy(task, attempt):
         seen["env"] = os.environ.get(SCHEDULER_ENV)
         return orig(task, attempt)
 
-    monkeypatch.setitem(runners.RUNNERS, "rake_scenarios", spy)
+    monkeypatch.setitem(runners.RUNNERS, "chaos", spy)
     run_shard(build_shards(spec)[0])
     assert seen["env"] == "fastpath"
     assert os.environ.get(SCHEDULER_ENV) == "naive"
@@ -333,8 +356,8 @@ def test_cli_backend_flag(tmp_path, capsys):
     out_path = tmp_path / "out.json"
     spec_path.write_text(json.dumps({
         "name": "cli-backend", "master_seed": 3,
-        "jobs": [{"job_id": "smoke", "kind": "rake_scenarios",
-                  "shards": 1, "params": {"max_basestations": 2}}]}))
+        "jobs": [{"job_id": "smoke", "kind": "chaos",
+                  "shards": 1, "params": {"n_chips": 16}}]}))
     rc = main(["run", "--spec", str(spec_path), "--backend", "fastpath",
                "--out", str(out_path), "--quiet"])
     assert rc == 0

@@ -4,8 +4,7 @@ Covers the fingerprint (structure-only, data-free), the in-process LRU
 (hits return the very same function objects), the on-disk artifact
 store (corrupt/stale artifacts recompile, version bumps invalidate),
 the campaign wiring (N shards of one config compile once, resume stays
-byte-identical with the cache mounted) and the configuration manager's
-K-PACT-style prefetch hook.
+byte-identical with the cache mounted).
 """
 
 import json
@@ -307,49 +306,3 @@ def test_clean_campaign_reports_zero_fallbacks():
                        flight_recorder=True)
     rollup = flight.fallback_rollup(run.outcomes)
     assert rollup == {"total": 0, "by_code": {}}
-
-
-# -- prefetch ---------------------------------------------------------------------
-
-
-def test_prefetch_warms_the_cache():
-    mgr = ConfigurationManager()
-    cfg = build_despreader_config(2, 4)
-    fp = mgr.prefetch(cfg)
-    assert fp is not None
-    assert cache.probe(fp) == "memory"
-    # the swap's compile is the warmed kernel: same fingerprint
-    mgr.load(cfg)
-    assert cache.graph_fingerprint(capture(mgr)) == fp
-    _, _, _, hit = cache.compile_graph(capture(mgr))
-    assert hit
-
-
-def test_prefetch_with_removal_matches_post_swap_netlist():
-    mgr = ConfigurationManager()
-    cfg_a = build_descrambler_config("cfg_a")
-    cfg_b = build_despreader_config(2, 4, name="cfg_b")
-    mgr.load(cfg_a)
-    fp = mgr.prefetch(cfg_b, removing=("cfg_a",))
-    assert fp is not None
-    mgr.remove(cfg_a)
-    mgr.load(cfg_b)
-    assert cache.graph_fingerprint(capture(mgr)) == fp
-
-
-def test_prefetch_unsupported_netlist_returns_none():
-    from repro.xpp import ConfigBuilder
-    b = ConfigBuilder("ram_mode")
-    b.ram()
-    assert ConfigurationManager().prefetch(b.build()) is None
-
-
-def test_prefetch_background_thread():
-    mgr = ConfigurationManager()
-    cfg = build_despreader_config(3, 4)
-    t = mgr.prefetch(cfg, background=True)
-    t.join(timeout=30)
-    assert not t.is_alive()
-    mgr.load(cfg)
-    _, _, _, hit = cache.compile_graph(capture(mgr))
-    assert hit

@@ -1,10 +1,10 @@
 """The serve journal: multi-appender JSONL with torn-tail tolerance.
 
 The broker and every shard append to one journal; a killed writer can
-leave a torn line *anywhere* (its partial write merges with the next
-appender's line), not just at EOF.  Reading must skip garbage lines
-and keep every intact record — these tests pin that discipline down,
-including a real kill -9 mid-write.
+leave a torn line *anywhere*, not just at EOF (an appender that already
+had the file open writes straight after the fragment).  Reading must
+skip garbage lines and keep every intact record — these tests pin that
+discipline down, including a real kill -9 mid-write.
 """
 
 import json
@@ -52,9 +52,9 @@ class TestAppendRead:
 
 class TestTornTail:
     def test_torn_line_mid_file_is_skipped(self, tmp_path):
-        """A writer killed mid-write leaves a partial line that merges
-        with the NEXT appender's line — both become one garbage line;
-        records on either side survive."""
+        """A writer killed mid-write leaves a partial line; the next
+        appender to open the file terminates it first, so only the
+        fragment is lost and every record on either side survives."""
         path = tmp_path / "j.jsonl"
         with open(path, "w") as fh:
             fh.write(json.dumps({"event": "session_admitted",
@@ -65,7 +65,7 @@ class TestTornTail:
             journal.emit("session_complete", session_id="a", digest="d")
         records = read_journal(path)
         assert [r["event"] for r in records] \
-            == ["session_admitted", "session_complete"]
+            == ["session_admitted", "shard_step", "session_complete"]
 
     def test_truncated_tail_is_skipped(self, tmp_path):
         path = tmp_path / "j.jsonl"
