@@ -46,7 +46,7 @@ from repro.telemetry.metrics import get_metrics
 
 #: bump when generated-kernel semantics change; invalidates every
 #: cached artifact (memory keys and disk files both embed it)
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: max graphs kept compiled in this process
 LRU_MAX = 64
@@ -58,38 +58,11 @@ _lock = threading.Lock()
 _lru = OrderedDict()        # fingerprint -> (trace_fn, tuple(epoch_fns))
 
 
-#: per-kind object parameters that the code generators bake into the
-#: emitted source as literals (everything else rides in at call time)
-_PARAMS = {
-    "binary": ("OPCODE", "const", "shift", "bits"),
-    "unary": ("OPCODE", "bits"),
-    "shiftalu": ("amount", "bits"),
-    "lut": ("bits",),
-    "cadd": ("half_bits", "shift"),
-    "csub": ("half_bits", "shift"),
-    "cmul": ("half_bits", "shift", "conj_b", "round_shift"),
-    "cconj": ("half_bits",),
-    "cneg": ("half_bits",),
-    "cmulj": ("half_bits", "sign"),
-    "cshift": ("half_bits", "amount"),
-    "pack": ("half_bits",),
-    "unpack": ("half_bits",),
-    "acc": ("length", "shift", "bits"),
-    "cacc": ("length", "shift", "half_bits"),
-    "integ": ("bits",),
-    "cinteg": ("half_bits",),
-    "reg": ("bits",),
-    "fifo": ("depth", "circular", "bits"),
-}
-
-
 def node_signature(node) -> tuple:
-    """Structural signature of one node: everything about it that can
-    change the generated source."""
+    """Structural signature of one node: its kind, its port bindings and
+    the ``PARAMS`` its class declares as baked into generated source."""
     o = node.obj
-    params = tuple((a, getattr(o, a)) for a in _PARAMS.get(node.kind, ()))
-    if node.kind == "lut":
-        params += (("tlen", len(o.table)),)
+    params = tuple((a, getattr(o, a)) for a in o.PARAMS)
     return (node.kind, node.in_edges, node.out_ports, params)
 
 

@@ -11,8 +11,8 @@ lowering templates in :mod:`repro.fastpath.lower` key off
 
 Only graphs whose firing semantics the compiler can prove are
 accepted: a fixed table of object types (exact type match — subclasses
-may override anything) and parameter ranges that keep the vectorized
-int64 arithmetic exact.  Everything else raises
+may override anything), word widths and parameter ranges that keep the
+vectorized int64 arithmetic exact.  Everything else raises
 :class:`UnsupportedGraphError`, which the runtime turns into a
 transparent fallback to the event scheduler.
 
@@ -48,13 +48,7 @@ REASON_CIRCULAR_FIFO = "circular-fifo-input"
 REASON_EMPTY_NETLIST = "empty-netlist"
 REASON_DANGLING_WIRE = "dangling-wire"
 REASON_FAULT_TAP = "fault-tap"
-
-#: Retired codes: cycles compile since the epoch-kernel lowering landed.
-#: Kept as importable names so old tooling that buckets by code keeps
-#: working, but no compiler branch raises them anymore and they are no
-#: longer part of :data:`REASON_CODES`.
-REASON_SELF_LOOP = "self-loop"
-REASON_FEEDBACK_CYCLE = "feedback-cycle"
+REASON_WORD_WIDTH = "word-width"
 
 #: All reason codes, for docs/CLI validation.
 REASON_CODES = (
@@ -62,7 +56,7 @@ REASON_CODES = (
     REASON_UNBOUND_INPUT, REASON_DYNAMIC_SHIFT, REASON_SHIFT_RANGE,
     REASON_CONST_RANGE, REASON_COUNTER_STEP, REASON_COUNTER_RANGE,
     REASON_CIRCULAR_FIFO, REASON_EMPTY_NETLIST, REASON_DANGLING_WIRE,
-    REASON_FAULT_TAP,
+    REASON_FAULT_TAP, REASON_WORD_WIDTH,
 )
 
 
@@ -115,6 +109,10 @@ KIND_OF = {
 
 #: kinds whose plan is the default firing rule gated by a token budget
 GENERATORS = frozenset({"source", "const", "seq", "counter"})
+
+#: widest word the int64 value pass folds exactly (the fold's mask and
+#: sign offset must fit in an int64)
+MAX_WORD_BITS = 62
 
 #: largest safe constant shift: 24-bit operands stay well inside int64
 MAX_SHIFT = 32
@@ -198,6 +196,11 @@ def classify(obj) -> str:
         raise UnsupportedGraphError(
             f"{obj.name}: instance-level plan/commit override",
             code=REASON_INSTANCE_OVERRIDE)
+    bits = getattr(obj, "bits", 0)
+    if bits > MAX_WORD_BITS:
+        raise UnsupportedGraphError(
+            f"{obj.name}: {bits}-bit words exceed the int64 value pass "
+            f"(max {MAX_WORD_BITS})", code=REASON_WORD_WIDTH)
     if kind == "binary":
         if not obj.inputs[1].bound and obj.const is None:
             raise UnsupportedGraphError(

@@ -7,9 +7,9 @@ into something that executes whole runs per call:
   of tokens crossing each edge is timing-independent (the netlists are
   Kahn process networks), so per-edge token values can be computed ahead
   of time as batched numpy int64 array ops in one topological sweep:
-  each node maps its input streams to output-port streams with the same
-  wrap/shift/pack arithmetic as its ``compute``, vectorized via
-  :mod:`repro.fixed`.
+  each pure ALU op maps its input streams to output-port streams by
+  calling its own ``datapath`` method on whole arrays (see
+  :mod:`repro.xpp.datapath`).
 
 * **Count pass** — *when* tokens move still depends on backpressure, so
   firing schedules are produced by a generated straight-line Python
@@ -36,7 +36,9 @@ component produces until the cycle-carried state stops advancing or
 the window ``limit`` is reached.  Values stay exact (python ints with
 the same wrap/saturate folds, applied per token), deterministic and
 prefix-consistent, so :meth:`TraceSession._grow_values` regrowth and
-the existing replay/materialize machinery work unchanged.
+the existing replay/materialize machinery work unchanged.  Pure ALU ops
+get their kernel expression by calling the same ``datapath`` method on
+:class:`~repro.xpp.datapath.Sym` words.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fastpath.ir import GENERATORS, Graph
+from repro.xpp.datapath import Sym, fold, pack, unpack
 
 #: stand-in for an unbounded generator budget (avoids None checks in
 #: the generated kernel's hot loop)
@@ -58,61 +61,11 @@ STATE_CHECK = 2048
 # ---------------------------------------------------------------------------
 
 
-def _wrap(v, bits):
-    """Vectorized two's-complement fold (int64-native)."""
-    mask = np.int64((1 << bits) - 1)
-    sign = 1 << (bits - 1)
-    v = v.astype(np.int64) & mask
-    return np.where(v >= sign, v - (int(mask) + 1), v)
-
-
-def _vshift(x, amount):
-    """Constant arithmetic shift, positive = left (matches alu._shift)."""
-    return x << amount if amount >= 0 else x >> (-amount)
-
-
-def _vunpack(w, hb):
-    mask = (1 << hb) - 1
-    sign = 1 << (hb - 1)
-    im = w & mask
-    re = (w >> hb) & mask
-    re = np.where(re >= sign, re - (mask + 1), re)
-    im = np.where(im >= sign, im - (mask + 1), im)
-    return re, im
-
-
-def _vpack(re, im, hb):
-    mask = (1 << hb) - 1
-    re = _wrap(re, hb)
-    im = _wrap(im, hb)
-    return ((re & mask) << hb) | (im & mask)
-
-
 _E = np.zeros(0, dtype=np.int64)
 
 
 def _arr(seq):
     return np.array(list(seq), dtype=np.int64) if len(seq) else _E.copy()
-
-
-_BINFN = {
-    "ADD": lambda a, b: a + b,
-    "SUB": lambda a, b: a - b,
-    "MUL": lambda a, b: a * b,
-    "MIN": np.minimum,
-    "MAX": np.maximum,
-    "AND": lambda a, b: a & b,
-    "OR": lambda a, b: a | b,
-    "XOR": lambda a, b: a ^ b,
-    "SHL": lambda a, b: a << b,
-    "SHR": lambda a, b: a >> b,
-    "CMPEQ": lambda a, b: (a == b).astype(np.int64),
-    "CMPNE": lambda a, b: (a != b).astype(np.int64),
-    "CMPLT": lambda a, b: (a < b).astype(np.int64),
-    "CMPLE": lambda a, b: (a <= b).astype(np.int64),
-    "CMPGT": lambda a, b: (a > b).astype(np.int64),
-    "CMPGE": lambda a, b: (a >= b).astype(np.int64),
-}
 
 
 def node_budget(node) -> int:
@@ -150,7 +103,7 @@ def _counter_streams(o, n):
             wev = (vals + o.step >= o.limit).astype(np.int64)
         else:
             wev = np.zeros(n, dtype=np.int64)
-    return _wrap(vals, o.bits), wev
+    return fold(vals, o.bits), wev
 
 
 def _merge_stream(sel, a, b):
@@ -193,14 +146,13 @@ def _node_streams(node, ins, limit):
         return [_arr(o._data[o._pos:o._pos + limit])]
     if k == "const":
         n = min(limit, node_budget(node))
-        from repro.fixed import wrap
-        return [np.full(n, wrap(o.value, o.bits), dtype=np.int64)]
+        return [np.full(n, fold(int(o.value), o.bits), dtype=np.int64)]
     if k == "seq":
         vals = _arr(o.values)
         if o.circular:
             idx = (o._pos + np.arange(limit, dtype=np.int64)) % len(vals)
-            return [_wrap(vals[idx], o.bits)]
-        return [_wrap(vals[o._pos:o._pos + limit], o.bits)]
+            return [fold(vals[idx], o.bits)]
+        return [fold(vals[o._pos:o._pos + limit], o.bits)]
     if k == "counter":
         n = min(limit, node_budget(node))
         vals, wev = _counter_streams(o, n)
@@ -217,81 +169,9 @@ def _node_streams(node, ins, limit):
             reps = -(-limit // len(snap))
             return [np.tile(snap, reps)[:limit]]
         if ins[0] is not None:
-            return [np.concatenate([snap, _wrap(ins[0], o.bits)])]
+            return [np.concatenate([snap, fold(ins[0], o.bits)])]
         return [snap]
 
-    if k == "binary":
-        a = ins[0]
-        b = ins[1] if ins[1] is not None else o.const
-        if isinstance(b, np.ndarray):
-            n = min(len(a), len(b))
-            a, b = a[:n], b[:n]
-        r = _BINFN[o.OPCODE](a, b)
-        return [_wrap(_vshift(r, -o.shift), o.bits)]
-    if k == "unary":
-        a = ins[0]
-        r = {"NEG": lambda v: -v, "NOT": lambda v: ~v,
-             "ABS": np.abs, "PASS": lambda v: v}[o.OPCODE](a)
-        return [_wrap(r, o.bits)]
-    if k == "shiftalu":
-        return [_wrap(_vshift(ins[0], o.amount), o.bits)]
-    if k == "lut":
-        tbl = _wrap(_arr(o.table), o.bits)
-        return [tbl[ins[0] % len(o.table)]]
-
-    hb = getattr(o, "half_bits", 12)
-    if k in ("cadd", "csub"):
-        n = min(len(ins[0]), len(ins[1]))
-        ar, ai = _vunpack(ins[0][:n], hb)
-        br, bi = _vunpack(ins[1][:n], hb)
-        if k == "cadd":
-            re, im = ar + br, ai + bi
-        else:
-            re, im = ar - br, ai - bi
-        return [_vpack(_vshift(re, -o.shift), _vshift(im, -o.shift), hb)]
-    if k == "cmul":
-        n = min(len(ins[0]), len(ins[1]))
-        ar, ai = _vunpack(ins[0][:n], hb)
-        br, bi = _vunpack(ins[1][:n], hb)
-        if o.conj_b:
-            bi = -bi
-        re = ar * br - ai * bi
-        im = ar * bi + ai * br
-        if o.shift:
-            if o.round_shift:
-                half = 1 << (o.shift - 1)
-                re = (re + half) >> o.shift
-                im = (im + half) >> o.shift
-            else:
-                re >>= o.shift
-                im >>= o.shift
-        return [_vpack(re, im, hb)]
-    if k == "cconj":
-        re, im = _vunpack(ins[0], hb)
-        return [_vpack(re, -im, hb)]
-    if k == "cneg":
-        re, im = _vunpack(ins[0], hb)
-        return [_vpack(-re, -im, hb)]
-    if k == "cmulj":
-        re, im = _vunpack(ins[0], hb)
-        return [_vpack(-im, re, hb) if o.sign > 0 else _vpack(im, -re, hb)]
-    if k == "cshift":
-        re, im = _vunpack(ins[0], hb)
-        return [_vpack(_vshift(re, o.amount), _vshift(im, o.amount), hb)]
-    if k == "pack":
-        n = min(len(ins[0]), len(ins[1]))
-        return [_vpack(ins[0][:n], ins[1][:n], o.half_bits)]
-    if k == "unpack":
-        re, im = _vunpack(ins[0], o.half_bits)
-        return [re, im]
-
-    if k == "mux":
-        n = min(len(ins[0]), len(ins[1]), len(ins[2]))
-        return [np.where(ins[0][:n] != 0, ins[2][:n], ins[1][:n])]
-    if k == "swap":
-        n = min(len(ins[0]), len(ins[1]), len(ins[2]))
-        sel, a, b = ins[0][:n] != 0, ins[1][:n], ins[2][:n]
-        return [np.where(sel, b, a), np.where(sel, a, b)]
     if k == "demux":
         n = min(len(ins[0]), len(ins[1]))
         sel = ins[0][:n] != 0
@@ -304,23 +184,27 @@ def _node_streams(node, ins, limit):
         return [ins[1][:n][ins[0][:n] != 0]]
 
     if k == "acc":
-        sums = _acc_sums(ins[0], o.length, o._n, o._sum)
-        return [_wrap(_vshift(sums, -o.shift), o.bits)]
+        return [o.dump(_acc_sums(ins[0], o.length, o._n, o._sum))]
     if k == "cacc":
-        re, im = _vunpack(ins[0], hb)
-        rs = _acc_sums(re, o.length, o._n, o._re)
-        is_ = _acc_sums(im, o.length, o._n, o._im)
-        return [_vpack(_vshift(rs, -o.shift), _vshift(is_, -o.shift), hb)]
+        re, im = unpack(ins[0], o.half_bits)
+        return [o.dump(_acc_sums(re, o.length, o._n, o._re),
+                       _acc_sums(im, o.length, o._n, o._im))]
     if k == "integ":
-        return [_wrap(o._sum + np.cumsum(ins[0]), o.bits)]
+        return [fold(o._sum + np.cumsum(ins[0]), o.bits)]
     if k == "cinteg":
-        re, im = _vunpack(ins[0], hb)
-        return [_vpack(o._re + np.cumsum(re), o._im + np.cumsum(im), hb)]
+        re, im = unpack(ins[0], o.half_bits)
+        return [pack(o._re + np.cumsum(re), o._im + np.cumsum(im),
+                     o.half_bits)]
     if k == "reg":
-        pre = _wrap(_arr(o._preload), o.bits)
-        return [np.concatenate([pre, _wrap(ins[0], o.bits)])]
+        pre = fold(_arr(o._preload), o.bits)
+        return [np.concatenate([pre, fold(ins[0], o.bits)])]
 
-    raise AssertionError(f"no lowering for kind {k!r}")       # unreachable
+    # pure ALU op: one firing per full set of input tokens
+    n = min(len(x) for x in ins if x is not None)
+    args = [x if x is None else x[:n] for x in ins]
+    if k == "lut":
+        args.append(_arr(o.table))
+    return o.datapath(*args)
 
 
 def value_streams(graph: Graph, limit: int, epochs=None,
@@ -368,8 +252,9 @@ def value_streams(graph: Graph, limit: int, epochs=None,
 # and per member node a drain loop that fires as long as tokens are
 # available — all wrapped in an outer fixpoint loop that stops once a
 # full pass over the component makes no progress.  Arithmetic is exact
-# Python-int with the same wrap/fold/pack formulas as the numpy pass
-# baked in as literals, so values are bit-identical.  Firings per node
+# Python-int: pure ops inline the expression their ``datapath`` builds
+# on ``Sym`` words, with parameters baked in as literals, so values are
+# bit-identical to the interpreter and the numpy pass.  Firings per node
 # are capped at ``limit``: a node fires at most once per cycle, so this
 # always covers everything the count-level trace can consume in a
 # ``limit``-cycle window, and it bounds self-sustaining rings.  The
@@ -444,8 +329,6 @@ def _run_epoch(graph: Graph, s: int, fn, edge_vals: list, limit: int,
 def epoch_env(graph: Graph, s: int, edge_vals: list) -> list:
     """Build the env tuple for one epoch-kernel call from the live
     state (mirrors what ``_node_streams`` reads for acyclic nodes)."""
-    from repro.fixed import wrap
-
     env = []
     for _, tag, key in epoch_spec(graph, s):
         if tag == "ext":
@@ -455,13 +338,12 @@ def epoch_env(graph: Graph, s: int, edge_vals: list) -> list:
             vals = [int(x) for x in e.wire._q]
             n = graph.nodes[e.src]
             if n.kind == "reg":
-                vals += [wrap(int(x), n.obj.bits) for x in n.obj._preload]
+                vals += [fold(int(x), n.obj.bits) for x in n.obj._preload]
             elif n.kind == "fifo":
                 vals += [int(x) for x in n.obj._q]
             env.append(vals)
         elif tag == "table":
-            o = graph.nodes[key].obj
-            env.append([wrap(int(x), o.bits) for x in o.table])
+            env.append([int(x) for x in graph.nodes[key].obj.table])
         elif tag == "accn":
             env.append(int(graph.nodes[key].obj._n))
         elif tag in ("accs", "integ"):
@@ -471,32 +353,6 @@ def epoch_env(graph: Graph, s: int, edge_vals: list) -> list:
         else:   # cacci / cintegi
             env.append(int(graph.nodes[key].obj._im))
     return env
-
-
-def _swrap(x: str, bits: int) -> str:
-    """Scalar two's-complement fold expression (matches _wrap/_vunpack)."""
-    s = 1 << (bits - 1)
-    m = (1 << bits) - 1
-    return f"((({x}) + {s} & {m}) - {s})"
-
-
-def _sshift(x: str, amount: int) -> str:
-    if amount > 0:
-        return f"(({x}) << {amount})"
-    if amount < 0:
-        return f"(({x}) >> {-amount})"
-    return x
-
-
-def _spack(re: str, im: str, hb: int) -> str:
-    # mask-only pack: wrap-then-mask == mask (mod 2**hb arithmetic)
-    m = (1 << hb) - 1
-    return f"(((({re}) & {m}) << {hb}) | (({im}) & {m}))"
-
-
-_BINSYM = {"ADD": "+", "SUB": "-", "MUL": "*", "AND": "&", "OR": "|",
-           "XOR": "^", "CMPEQ": "==", "CMPNE": "!=", "CMPLT": "<",
-           "CMPLE": "<=", "CMPGT": ">", "CMPGE": ">="}
 
 
 def _epoch_emits(n, exprs) -> list:
@@ -519,16 +375,8 @@ def _epoch_inner(n, graph) -> list:
     o = n.obj
     k = n.kind
     ins = [j for j in n.in_edges if j is not None]
-    hb = getattr(o, "half_bits", 12)
-
-    def fre(w):         # packed-word real part, folded
-        return _swrap(f"{w} >> {hb}", hb)
-
-    def fim(w):
-        return _swrap(w, hb)
-
-    fetch = [f"w{idx} = v{j}[q{j}]; q{j} += 1"
-             for idx, j in enumerate(ins)]
+    fetch = [f"w{x} = v{j}[q{j}]; q{j} += 1" for x, j in enumerate(ins)]
+    w = [Sym(f"w{x}") for x in range(len(ins))]
 
     if k == "demux":
         e0, e1 = n.out_ports
@@ -541,107 +389,41 @@ def _epoch_inner(n, graph) -> list:
         return fetch + (["if w0:"] + outs if outs else [])
 
     if k == "acc":
-        dump = _swrap(_sshift(f"acs{i}", -o.shift), o.bits)
         body = fetch + [f"acs{i} += w0", f"acn{i} += 1",
                         f"if acn{i} >= {o.length}:"]
-        body += ["    " + ln for ln in _epoch_emits(n, [dump])]
+        body += ["    " + ln for ln in
+                 _epoch_emits(n, [o.dump(Sym(f"acs{i}"))])]
         return body + [f"    acn{i} = 0", f"    acs{i} = 0"]
 
     if k == "cacc":
-        dump = _spack(_sshift(f"acr{i}", -o.shift),
-                      _sshift(f"aci{i}", -o.shift), hb)
-        body = fetch + [f"acr{i} += {fre('w0')}",
-                        f"aci{i} += {fim('w0')}",
+        re, im = unpack(w[0], o.half_bits)
+        body = fetch + [f"acr{i} += {re}", f"aci{i} += {im}",
                         f"acn{i} += 1", f"if acn{i} >= {o.length}:"]
+        dump = o.dump(Sym(f"acr{i}"), Sym(f"aci{i}"))
         body += ["    " + ln for ln in _epoch_emits(n, [dump])]
         return body + [f"    acn{i} = 0", f"    acr{i} = 0",
                        f"    aci{i} = 0"]
 
     if k == "integ":
         return (fetch + [f"ig{i} += w0"]
-                + _epoch_emits(n, [_swrap(f"ig{i}", o.bits)]))
+                + _epoch_emits(n, [fold(Sym(f"ig{i}"), o.bits)]))
 
     if k == "cinteg":
-        return (fetch + [f"igr{i} += {fre('w0')}",
-                         f"igi{i} += {fim('w0')}"]
-                + _epoch_emits(n, [_spack(f"igr{i}", f"igi{i}", hb)]))
+        re, im = unpack(w[0], o.half_bits)
+        total = pack(Sym(f"igr{i}"), Sym(f"igi{i}"), o.half_bits)
+        return (fetch + [f"igr{i} += {re}", f"igi{i} += {im}"]
+                + _epoch_emits(n, [total]))
 
-    if k == "cmul":
-        bi = fim("w1")
-        if o.conj_b:
-            bi = f"-{bi}"
-        body = fetch + [f"ar = {fre('w0')}", f"ai = {fim('w0')}",
-                        f"br = {fre('w1')}", f"bi = {bi}",
-                        "x = ar * br - ai * bi", "y = ar * bi + ai * br"]
-        if o.shift:
-            if o.round_shift:
-                half = 1 << (o.shift - 1)
-                body += [f"x = (x + {half}) >> {o.shift}",
-                         f"y = (y + {half}) >> {o.shift}"]
-            else:
-                body += [f"x >>= {o.shift}", f"y >>= {o.shift}"]
-        return body + _epoch_emits(n, [_spack("x", "y", hb)])
-
-    if k in ("cadd", "csub"):
-        op = "+" if k == "cadd" else "-"
-        xe = _sshift("({} {} {})".format(fre("w0"), op, fre("w1")),
-                     -o.shift)
-        ye = _sshift("({} {} {})".format(fim("w0"), op, fim("w1")),
-                     -o.shift)
-        return (fetch + [f"x = {xe}", f"y = {ye}"]
-                + _epoch_emits(n, [_spack("x", "y", hb)]))
-
-    # single-expression kinds
     if k == "probe":
-        exprs = ["w0"]
+        exprs = w
     elif k in ("fifo", "reg"):
-        exprs = [_swrap("w0", o.bits)]
-    elif k == "binary":
-        b = "w1" if n.in_edges[1] is not None else f"({o.const})"
-        op = o.OPCODE
-        if op.startswith("CMP"):
-            r = f"(1 if w0 {_BINSYM[op]} {b} else 0)"
-        elif op in ("MIN", "MAX"):
-            r = f"{op.lower()}(w0, {b})"
-        elif op == "SHL":
-            r = f"(w0 << {o.const})"
-        elif op == "SHR":
-            r = f"(w0 >> {o.const})"
-        else:
-            r = f"(w0 {_BINSYM[op]} {b})"
-        exprs = [_swrap(_sshift(r, -o.shift), o.bits)]
-    elif k == "unary":
-        r = {"NEG": "(-w0)", "NOT": "(~w0)",
-             "ABS": "abs(w0)", "PASS": "w0"}[o.OPCODE]
-        exprs = [_swrap(r, o.bits)]
-    elif k == "shiftalu":
-        exprs = [_swrap(_sshift("w0", o.amount), o.bits)]
-    elif k == "lut":
-        exprs = [f"t{i}[w0 % {len(o.table)}]"]
-    elif k == "cconj":
-        exprs = [_spack(fre("w0"), f"-{fim('w0')}", hb)]
-    elif k == "cneg":
-        exprs = [_spack(f"-{fre('w0')}", f"-{fim('w0')}", hb)]
-    elif k == "cmulj":
-        if o.sign > 0:
-            exprs = [_spack(f"-{fim('w0')}", fre("w0"), hb)]
-        else:
-            exprs = [_spack(fim("w0"), f"-{fre('w0')}", hb)]
-    elif k == "cshift":
-        exprs = [_spack(_sshift(fre("w0"), o.amount),
-                        _sshift(fim("w0"), o.amount), hb)]
-    elif k == "pack":
-        exprs = [_spack("w0", "w1", o.half_bits)]
-    elif k == "unpack":
-        exprs = [_swrap(f"w0 >> {o.half_bits}", o.half_bits),
-                 _swrap("w0", o.half_bits)]
-    elif k == "mux":
-        exprs = ["(w2 if w0 else w1)"]
-    elif k == "swap":
-        exprs = ["(w2 if w0 else w1)", "(w1 if w0 else w2)"]
-    else:   # generators/sinks have no in-edges, so never sit in an SCC
-        raise AssertionError(f"kind {k!r} cannot appear in a feedback "
-                             "component")                 # unreachable
+        exprs = [fold(w[0], o.bits)]
+    else:   # pure ALU op (generators/sinks never sit in an SCC)
+        it = iter(w)
+        args = [None if j is None else next(it) for j in n.in_edges]
+        if k == "lut":
+            args.append(Sym(f"t{i}"))
+        exprs = o.datapath(*args)
     return fetch + _epoch_emits(n, exprs)
 
 

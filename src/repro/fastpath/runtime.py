@@ -33,12 +33,11 @@ from repro.telemetry.metrics import get_metrics
 from repro.fastpath.lower import (
     FIRES_CHECK,
     STATE_CHECK,
-    _vunpack,
     node_budget,
     state_spec,
     value_streams,
 )
-from repro.fixed import wrap
+from repro.xpp.datapath import fold, unpack
 from repro.xpp.scheduler import EventScheduler
 
 
@@ -332,16 +331,16 @@ class TraceSession:
                     o._stopped = o._value >= o.limit
         elif k == "integ":
             x = self.edge_vals[n.in_edges[0]][:f]
-            o._sum = wrap(o._sum + int(x.sum()), o.bits)
+            o._sum = fold(o._sum + int(x.sum()), o.bits)
         elif k == "cinteg":
-            re, im = _vunpack(self.edge_vals[n.in_edges[0]][:f], o.half_bits)
-            o._re = wrap(o._re + int(re.sum()), o.half_bits)
-            o._im = wrap(o._im + int(im.sum()), o.half_bits)
+            re, im = unpack(self.edge_vals[n.in_edges[0]][:f], o.half_bits)
+            o._re = fold(o._re + int(re.sum()), o.half_bits)
+            o._im = fold(o._im + int(im.sum()), o.half_bits)
         elif k == "acc":
             x = self.edge_vals[n.in_edges[0]][:f]
             o._sum, o._n = self._acc_state(x, o.length, o._n, o._sum)
         elif k == "cacc":
-            re, im = _vunpack(self.edge_vals[n.in_edges[0]][:f], o.half_bits)
+            re, im = unpack(self.edge_vals[n.in_edges[0]][:f], o.half_bits)
             o._re, _ = self._acc_state(re, o.length, o._n, o._re)
             o._im, o._n = self._acc_state(im, o.length, o._n, o._im)
         elif k == "reg":
@@ -359,7 +358,7 @@ class TraceSession:
                 full = list(o._q)
                 if n.in_edges[0] is not None and fin:
                     arrivals = self.edge_vals[n.in_edges[0]][:fin].tolist()
-                    full += [wrap(v, o.bits) for v in arrivals]
+                    full += [fold(v, o.bits) for v in arrivals]
                 o._q = deque(full[fout:])
             o._do_in = False
             o._do_out = False

@@ -13,22 +13,24 @@ The instruction set covers:
 
 Use :func:`make_alu` (or the higher level ``ConfigBuilder``) to
 instantiate an operation by opcode name.
+
+Every pure op (one output set per input set) defines its arithmetic once
+in a ``datapath`` method built from the :mod:`repro.xpp.datapath`
+primitives; the interpreter and both fastpath lowerings call it.  Its
+``PARAMS`` name the attributes that method reads, which the fastpath
+compile cache fingerprints.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.fixed import pack_complex, unpack_complex, wrap
+from repro.fixed import wrap
+from repro.xpp.datapath import fold, pack, select, shift, unpack
 from repro.xpp.errors import ConfigurationError
 from repro.xpp.objects import DataflowObject
 
 WORD_BITS = 24
-
-
-def _shift(value: int, amount: int) -> int:
-    """Arithmetic shift: positive = left, negative = right."""
-    return value << amount if amount >= 0 else value >> (-amount)
 
 
 class AluPae(DataflowObject):
@@ -44,6 +46,9 @@ class AluPae(DataflowObject):
         super().__init__(name, n_in, n_out, in_names, out_names)
         self.bits = bits
 
+    def compute(self, args: list) -> list:
+        return self.datapath(*args)
+
     def _w(self, value: int) -> int:
         return wrap(value, self.bits)
 
@@ -56,19 +61,19 @@ _BINARY_FUNCS = {
     "ADD": lambda a, b: a + b,
     "SUB": lambda a, b: a - b,
     "MUL": lambda a, b: a * b,
-    "MIN": min,
-    "MAX": max,
+    "MIN": lambda a, b: select(b < a, a, b),
+    "MAX": lambda a, b: select(b > a, a, b),
     "AND": lambda a, b: a & b,
     "OR": lambda a, b: a | b,
     "XOR": lambda a, b: a ^ b,
     "SHL": lambda a, b: a << b,
     "SHR": lambda a, b: a >> b,
-    "CMPEQ": lambda a, b: int(a == b),
-    "CMPNE": lambda a, b: int(a != b),
-    "CMPLT": lambda a, b: int(a < b),
-    "CMPLE": lambda a, b: int(a <= b),
-    "CMPGT": lambda a, b: int(a > b),
-    "CMPGE": lambda a, b: int(a >= b),
+    "CMPEQ": lambda a, b: select(a == b, 0, 1),
+    "CMPNE": lambda a, b: select(a != b, 0, 1),
+    "CMPLT": lambda a, b: select(a < b, 0, 1),
+    "CMPLE": lambda a, b: select(a <= b, 0, 1),
+    "CMPGT": lambda a, b: select(a > b, 0, 1),
+    "CMPGE": lambda a, b: select(a >= b, 0, 1),
 }
 
 _UNARY_FUNCS = {
@@ -83,6 +88,8 @@ class BinaryAlu(AluPae):
     """Two-operand ALU op.  If input B is left unconnected, the ``const``
     parameter provides the second operand (a PAE register constant)."""
 
+    PARAMS = ("OPCODE", "const", "shift", "bits")
+
     def __init__(self, name: str, opcode: str, *, const: Optional[int] = None,
                  shift: int = 0, bits: int = WORD_BITS):
         super().__init__(name, 2, 1, bits=bits, in_names=["a", "b"])
@@ -95,18 +102,19 @@ class BinaryAlu(AluPae):
         if opcode == "MUL":
             self.ENERGY = 2.0       # the multiplier array dominates
 
-    def compute(self, args: list) -> list:
-        a, b = args
+    def datapath(self, a, b=None) -> list:
         if b is None:
             if self.const is None:
                 raise ConfigurationError(
                     f"{self.name}: input b unconnected and no const set")
             b = self.const
-        return [self._w(_shift(self._fn(a, b), -self.shift))]
+        return [fold(shift(self._fn(a, b), -self.shift), self.bits)]
 
 
 class UnaryAlu(AluPae):
     """One-operand ALU op."""
+
+    PARAMS = ("OPCODE", "bits")
 
     def __init__(self, name: str, opcode: str, *, bits: int = WORD_BITS):
         super().__init__(name, 1, 1, bits=bits, in_names=["a"])
@@ -115,41 +123,48 @@ class UnaryAlu(AluPae):
         self.OPCODE = opcode
         self._fn = _UNARY_FUNCS[opcode]
 
-    def compute(self, args: list) -> list:
-        return [self._w(self._fn(args[0]))]
+    def datapath(self, a) -> list:
+        return [fold(self._fn(a), self.bits)]
 
 
 class ShiftAlu(AluPae):
     """Constant arithmetic shift (positive = left, negative = right)."""
 
     OPCODE = "SHIFT"
+    PARAMS = ("amount", "bits")
 
     def __init__(self, name: str, *, amount: int, bits: int = WORD_BITS):
         super().__init__(name, 1, 1, bits=bits, in_names=["a"])
         self.amount = amount
 
-    def compute(self, args: list) -> list:
-        return [self._w(_shift(args[0], self.amount))]
+    def datapath(self, a) -> list:
+        return [fold(shift(a, self.amount), self.bits)]
 
 
 class LutAlu(AluPae):
     """Small lookup table (PAE register file used as a LUT).
 
     The paper's Fig. 5 uses this to translate the 2-bit scrambling code
-    into the packed constants ±1±j.
+    into the packed constants ±1±j.  The table contents are data: the
+    compiled backends pass them in (``table``), only the size is baked.
     """
 
     OPCODE = "LUT"
+    PARAMS = ("bits", "size")
 
     def __init__(self, name: str, *, table, bits: int = WORD_BITS):
         super().__init__(name, 1, 1, bits=bits, in_names=["index"])
-        self.table = list(table)
+        self.table = [int(v) for v in table]
         if not self.table:
             raise ConfigurationError(f"{self.name}: empty LUT")
 
-    def compute(self, args: list) -> list:
-        idx = args[0] % len(self.table)
-        return [self._w(self.table[idx])]
+    @property
+    def size(self) -> int:
+        return len(self.table)
+
+    def datapath(self, index, table=None) -> list:
+        table = self.table if table is None else table
+        return [fold(table[index % self.size], self.bits)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,46 +175,42 @@ class ComplexAlu(AluPae):
     """Base for packed complex ops: tokens carry I (high half) and Q (low
     half) as two ``half_bits``-wide two's-complement fields."""
 
+    PARAMS = ("half_bits",)
+
     def __init__(self, name: str, n_in: int, *, half_bits: int = 12,
                  in_names: Optional[list] = None):
         super().__init__(name, n_in, 1, bits=2 * half_bits, in_names=in_names)
         self.half_bits = half_bits
 
-    def _unpack(self, word: int) -> tuple:
-        return unpack_complex(word, self.half_bits)
-
-    def _pack(self, re: int, im: int) -> int:
-        re = wrap(re, self.half_bits)
-        im = wrap(im, self.half_bits)
-        return pack_complex(re, im, self.half_bits)
-
 
 class ComplexAdd(ComplexAlu):
     OPCODE = "CADD"
+    PARAMS = ("half_bits", "shift")
 
     def __init__(self, name: str, *, half_bits: int = 12, shift: int = 0):
         super().__init__(name, 2, half_bits=half_bits, in_names=["a", "b"])
         self.shift = shift
 
-    def compute(self, args: list) -> list:
-        ar, ai = self._unpack(args[0])
-        br, bi = self._unpack(args[1])
-        return [self._pack(_shift(ar + br, -self.shift),
-                           _shift(ai + bi, -self.shift))]
+    def datapath(self, a, b) -> list:
+        hb = self.half_bits
+        (ar, ai), (br, bi) = unpack(a, hb), unpack(b, hb)
+        return [pack(shift(ar + br, -self.shift),
+                     shift(ai + bi, -self.shift), hb)]
 
 
 class ComplexSub(ComplexAlu):
     OPCODE = "CSUB"
+    PARAMS = ("half_bits", "shift")
 
     def __init__(self, name: str, *, half_bits: int = 12, shift: int = 0):
         super().__init__(name, 2, half_bits=half_bits, in_names=["a", "b"])
         self.shift = shift
 
-    def compute(self, args: list) -> list:
-        ar, ai = self._unpack(args[0])
-        br, bi = self._unpack(args[1])
-        return [self._pack(_shift(ar - br, -self.shift),
-                           _shift(ai - bi, -self.shift))]
+    def datapath(self, a, b) -> list:
+        hb = self.half_bits
+        (ar, ai), (br, bi) = unpack(a, hb), unpack(b, hb)
+        return [pack(shift(ar - br, -self.shift),
+                     shift(ai - bi, -self.shift), hb)]
 
 
 class ComplexMul(ComplexAlu):
@@ -213,6 +224,7 @@ class ComplexMul(ComplexAlu):
     """
 
     OPCODE = "CMUL"
+    PARAMS = ("half_bits", "shift", "conj_b", "round_shift")
     ENERGY = 4.0        # four scalar multiplies per firing
 
     def __init__(self, name: str, *, half_bits: int = 12, shift: int = 0,
@@ -222,9 +234,9 @@ class ComplexMul(ComplexAlu):
         self.conj_b = conj_b
         self.round_shift = round_shift
 
-    def compute(self, args: list) -> list:
-        ar, ai = self._unpack(args[0])
-        br, bi = self._unpack(args[1])
+    def datapath(self, a, b) -> list:
+        hb = self.half_bits
+        (ar, ai), (br, bi) = unpack(a, hb), unpack(b, hb)
         if self.conj_b:
             bi = -bi
         re = ar * br - ai * bi
@@ -232,12 +244,9 @@ class ComplexMul(ComplexAlu):
         if self.shift:
             if self.round_shift:
                 half = 1 << (self.shift - 1)
-                re = (re + half) >> self.shift
-                im = (im + half) >> self.shift
-            else:
-                re >>= self.shift
-                im >>= self.shift
-        return [self._pack(re, im)]
+                re, im = re + half, im + half
+            re, im = re >> self.shift, im >> self.shift
+        return [pack(re, im, hb)]
 
 
 class ComplexConj(ComplexAlu):
@@ -246,9 +255,9 @@ class ComplexConj(ComplexAlu):
     def __init__(self, name: str, *, half_bits: int = 12):
         super().__init__(name, 1, half_bits=half_bits, in_names=["a"])
 
-    def compute(self, args: list) -> list:
-        re, im = self._unpack(args[0])
-        return [self._pack(re, -im)]
+    def datapath(self, a) -> list:
+        re, im = unpack(a, self.half_bits)
+        return [pack(re, -im, self.half_bits)]
 
 
 class ComplexNeg(ComplexAlu):
@@ -257,9 +266,9 @@ class ComplexNeg(ComplexAlu):
     def __init__(self, name: str, *, half_bits: int = 12):
         super().__init__(name, 1, half_bits=half_bits, in_names=["a"])
 
-    def compute(self, args: list) -> list:
-        re, im = self._unpack(args[0])
-        return [self._pack(-re, -im)]
+    def datapath(self, a) -> list:
+        re, im = unpack(a, self.half_bits)
+        return [pack(-re, -im, self.half_bits)]
 
 
 class ComplexMulJ(ComplexAlu):
@@ -267,6 +276,7 @@ class ComplexMulJ(ComplexAlu):
     used by the radix-4 butterfly."""
 
     OPCODE = "CMULJ"
+    PARAMS = ("half_bits", "sign")
 
     def __init__(self, name: str, *, sign: int = 1, half_bits: int = 12):
         super().__init__(name, 1, half_bits=half_bits, in_names=["a"])
@@ -274,55 +284,56 @@ class ComplexMulJ(ComplexAlu):
             raise ConfigurationError(f"{self.name}: sign must be +/-1")
         self.sign = sign
 
-    def compute(self, args: list) -> list:
-        re, im = self._unpack(args[0])
+    def datapath(self, a) -> list:
+        re, im = unpack(a, self.half_bits)
         if self.sign > 0:       # (re + j im) * j = -im + j re
-            return [self._pack(-im, re)]
-        return [self._pack(im, -re)]
+            return [pack(-im, re, self.half_bits)]
+        return [pack(im, -re, self.half_bits)]
 
 
 class ComplexShift(ComplexAlu):
     """Shift both halves (the per-FFT-stage 2-bit right scaling)."""
 
     OPCODE = "CSHIFT"
+    PARAMS = ("half_bits", "amount")
 
     def __init__(self, name: str, *, amount: int, half_bits: int = 12):
         super().__init__(name, 1, half_bits=half_bits, in_names=["a"])
         self.amount = amount
 
-    def compute(self, args: list) -> list:
-        re, im = self._unpack(args[0])
-        return [self._pack(_shift(re, self.amount), _shift(im, self.amount))]
+    def datapath(self, a) -> list:
+        re, im = unpack(a, self.half_bits)
+        return [pack(shift(re, self.amount), shift(im, self.amount),
+                     self.half_bits)]
 
 
 class Pack(AluPae):
     """Join two scalar words into a packed complex token."""
 
     OPCODE = "PACK"
+    PARAMS = ("half_bits",)
 
     def __init__(self, name: str, *, half_bits: int = 12):
         super().__init__(name, 2, 1, bits=2 * half_bits, in_names=["re", "im"])
         self.half_bits = half_bits
 
-    def compute(self, args: list) -> list:
-        re = wrap(args[0], self.half_bits)
-        im = wrap(args[1], self.half_bits)
-        return [pack_complex(re, im, self.half_bits)]
+    def datapath(self, re, im) -> list:
+        return [pack(re, im, self.half_bits)]
 
 
 class Unpack(AluPae):
     """Split a packed complex token into scalar ``re``/``im`` words."""
 
     OPCODE = "UNPACK"
+    PARAMS = ("half_bits",)
 
     def __init__(self, name: str, *, half_bits: int = 12):
         super().__init__(name, 1, 2, bits=2 * half_bits,
                          in_names=["a"], out_names=["re", "im"])
         self.half_bits = half_bits
 
-    def compute(self, args: list) -> list:
-        re, im = unpack_complex(args[0], self.half_bits)
-        return [re, im]
+    def datapath(self, a) -> list:
+        return list(unpack(a, self.half_bits))
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +348,8 @@ class Mux(AluPae):
     def __init__(self, name: str, *, bits: int = WORD_BITS):
         super().__init__(name, 3, 1, bits=bits, in_names=["sel", "a", "b"])
 
-    def compute(self, args: list) -> list:
-        sel, a, b = args
-        return [b if sel else a]
+    def datapath(self, sel, a, b) -> list:
+        return [select(sel, a, b)]
 
 
 class Demux(AluPae):
@@ -363,9 +373,6 @@ class Demux(AluPae):
         a = self.inputs[1].pop()
         self.outputs[1 if sel else 0].push(a)
         self.fired += 1
-
-    def compute(self, args):  # pragma: no cover - plan/commit overridden
-        raise NotImplementedError
 
 
 class Merge(AluPae):
@@ -391,9 +398,6 @@ class Merge(AluPae):
         self.outputs[0].push(value)
         self.fired += 1
 
-    def compute(self, args):  # pragma: no cover - plan/commit overridden
-        raise NotImplementedError
-
 
 class Swap(AluPae):
     """Pass two streams straight (sel=0) or crossed (sel=1) — the 'Swap'
@@ -405,9 +409,8 @@ class Swap(AluPae):
         super().__init__(name, 3, 2, bits=bits, in_names=["sel", "a", "b"],
                          out_names=["x", "y"])
 
-    def compute(self, args: list) -> list:
-        sel, a, b = args
-        return [b, a] if sel else [a, b]
+    def datapath(self, sel, a, b) -> list:
+        return [select(sel, a, b), select(sel, b, a)]
 
 
 class Gate(AluPae):
@@ -435,9 +438,6 @@ class Gate(AluPae):
         if ctrl:
             self.outputs[0].push(a)
         self.fired += 1
-
-    def compute(self, args):  # pragma: no cover - plan/commit overridden
-        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +498,6 @@ class Counter(AluPae):
         self.outputs[0].push(self._w(value))
         self.outputs[1].push(wrapped)
         self.fired += 1
-
-    def compute(self, args):  # pragma: no cover - commit overridden
-        raise NotImplementedError
 
 
 class Const(AluPae):
@@ -570,6 +567,7 @@ class Acc(AluPae):
     """
 
     OPCODE = "ACC"
+    PARAMS = ("length", "shift", "bits")
 
     def __init__(self, name: str, *, length: int, shift: int = 0,
                  bits: int = WORD_BITS):
@@ -597,19 +595,21 @@ class Acc(AluPae):
         self._sum += self.inputs[0].pop()
         self._n += 1
         if self._n >= self.length:
-            self.outputs[0].push(self._w(_shift(self._sum, -self.shift)))
+            self.outputs[0].push(self.dump(self._sum))
             self._sum = 0
             self._n = 0
         self.fired += 1
 
-    def compute(self, args):  # pragma: no cover - plan/commit overridden
-        raise NotImplementedError
+    def dump(self, total):
+        """The word emitted for an integrated ``total``."""
+        return fold(shift(total, -self.shift), self.bits)
 
 
 class ComplexAcc(ComplexAlu):
     """Packed-complex integrate-and-dump over ``length`` tokens."""
 
     OPCODE = "CACC"
+    PARAMS = ("length", "shift", "half_bits")
 
     def __init__(self, name: str, *, length: int, shift: int = 0,
                  half_bits: int = 12):
@@ -636,20 +636,21 @@ class ComplexAcc(ComplexAlu):
         return True
 
     def commit(self) -> None:
-        re, im = self._unpack(self.inputs[0].pop())
+        re, im = unpack(self.inputs[0].pop(), self.half_bits)
         self._re += re
         self._im += im
         self._n += 1
         if self._n >= self.length:
-            self.outputs[0].push(self._pack(_shift(self._re, -self.shift),
-                                            _shift(self._im, -self.shift)))
+            self.outputs[0].push(self.dump(self._re, self._im))
             self._re = 0
             self._im = 0
             self._n = 0
         self.fired += 1
 
-    def compute(self, args):  # pragma: no cover - plan/commit overridden
-        raise NotImplementedError
+    def dump(self, re, im):
+        """The packed word emitted for integrated ``(re, im)`` totals."""
+        return pack(shift(re, -self.shift), shift(im, -self.shift),
+                    self.half_bits)
 
 
 class Integrator(AluPae):
@@ -661,18 +662,19 @@ class Integrator(AluPae):
     """
 
     OPCODE = "INTEG"
+    PARAMS = ("bits",)
 
     def __init__(self, name: str, *, init: int = 0, bits: int = WORD_BITS):
         super().__init__(name, 1, 1, bits=bits, in_names=["a"])
-        self.init = init
-        self._sum = init
+        self.init = int(init)
+        self._sum = self.init
 
     def reset(self) -> None:
         super().reset()
         self._sum = self.init
 
     def compute(self, args: list) -> list:
-        self._sum = self._w(self._sum + args[0])
+        self._sum = fold(self._sum + args[0], self.bits)
         return [self._sum]
 
 
@@ -692,10 +694,11 @@ class ComplexIntegrator(ComplexAlu):
         self._im = 0
 
     def compute(self, args: list) -> list:
-        re, im = self._unpack(args[0])
-        self._re = wrap(self._re + re, self.half_bits)
-        self._im = wrap(self._im + im, self.half_bits)
-        return [self._pack(self._re, self._im)]
+        hb = self.half_bits
+        re, im = unpack(args[0], hb)
+        self._re = fold(self._re + re, hb)
+        self._im = fold(self._im + im, hb)
+        return [pack(self._re, self._im, hb)]
 
 
 class Reg(AluPae):
@@ -706,11 +709,12 @@ class Reg(AluPae):
     """
 
     OPCODE = "REG"
+    PARAMS = ("bits",)
 
     def __init__(self, name: str, *, init=(), bits: int = WORD_BITS):
         super().__init__(name, 1, 1, bits=bits, in_names=["a"])
-        self.init = tuple(init)
-        self._preload = list(init)
+        self.init = tuple(int(v) for v in init)
+        self._preload = list(self.init)
 
     def reset(self) -> None:
         super().reset()
@@ -723,14 +727,9 @@ class Reg(AluPae):
                 and self.outputs[0].space >= 1)
 
     def commit(self) -> None:
-        if self._preload:
-            self.outputs[0].push(self._w(self._preload.pop(0)))
-        else:
-            self.outputs[0].push(self._w(self.inputs[0].pop()))
+        token = self._preload.pop(0) if self._preload else self.inputs[0].pop()
+        self.outputs[0].push(fold(token, self.bits))
         self.fired += 1
-
-    def compute(self, args):  # pragma: no cover - plan/commit overridden
-        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------

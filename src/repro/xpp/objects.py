@@ -38,6 +38,10 @@ class DataflowObject:
     #: relative energy per firing, used by the power proxy in stats.
     ENERGY: float = 1.0
 
+    #: attributes that shape the object's compiled fastpath kernels (the
+    #: compile cache fingerprints them); state and data are not listed.
+    PARAMS: tuple = ()
+
     #: scheduler scratch: an :class:`~repro.xpp.scheduler.EventScheduler`
     #: stores ``(input_wires, output_wires, has_work)`` here for objects
     #: that use the default firing rule (so planning is a few attribute

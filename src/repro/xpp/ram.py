@@ -105,6 +105,7 @@ class FifoPae(DataflowObject):
 
     KIND = "ram"
     ENERGY = 1.5
+    PARAMS = ("depth", "circular", "bits")
 
     def __init__(self, name: str, *, depth: int = RAM_WORDS,
                  bits: int = RAM_BITS, preload=None, circular: bool = False):

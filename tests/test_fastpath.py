@@ -713,3 +713,21 @@ def test_huge_binary_const_falls_back_bit_exactly():
     assert fallbacks and "int64-safe" in str(fallbacks[0].message)
     assert got_outs == ref_outs
     assert got_stats == ref_stats
+
+
+@pytest.mark.parametrize("bits", [63, 64])
+def test_wide_word_falls_back_bit_exactly(bits):
+    """Words wider than 62 bits do not fold exactly in int64: the
+    classifier punts them (``word-width``) instead of crashing."""
+    def build(rng):
+        b = ConfigBuilder("wide_word")
+        b.chain(b.source("a", bits=bits), b.alu("ADD", const=1, bits=bits),
+                b.sink("y"))
+        return b.build(), {"a": [(1 << (bits - 1)) - 1, -5, 7]}
+
+    ref_outs, ref_stats, _ = _exec_family(build, "naive", 0)
+    got_outs, got_stats, fallbacks = _exec_family(build, "fastpath", 0)
+    assert [w.message.code for w in fallbacks] == ["word-width"]
+    assert ref_outs["y"][0] == -(1 << (bits - 1))       # wrapped, not lost
+    assert got_outs == ref_outs
+    assert got_stats == ref_stats

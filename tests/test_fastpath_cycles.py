@@ -12,10 +12,12 @@ stats, with zero fallback warnings on fastpath.
 """
 
 import warnings
+from zlib import crc32
 
 import numpy as np
 import pytest
 
+import test_fastpath
 from repro.fastpath import FastpathFallbackWarning, capture
 from repro.fastpath.ir import Graph
 from repro.kernels import build_despreader_config
@@ -151,7 +153,7 @@ def _run_shape(shape, scheduler, seed):
 @pytest.mark.parametrize("scheduler", [s for s in SCHEDULERS
                                        if s != "naive"])
 def test_feedback_shape_matches_naive(shape, scheduler):
-    seed = abs(hash(shape)) % (1 << 31)
+    seed = crc32(shape.encode())
     ref_outs, ref_stats, _ = _run_shape(shape, "naive", seed)
     got_outs, got_stats, fallbacks = _run_shape(shape, scheduler, seed)
     if scheduler == "fastpath":
@@ -180,6 +182,86 @@ def test_feedback_shapes_capture_as_sccs(shape):
     assert all(graph.strategy(i) == "epoch" for i in epoch)
     assert all(graph.strategy(i) == "trace"
                for i in range(len(graph.nodes)) if i not in epoch)
+
+
+# -- every op family inside a feedback ring -----------------------------------------
+#
+# The op-family differentials in test_fastpath.py run every kind on the
+# vectorized value pass.  Here each family is rebuilt with every input
+# stream mixed (ADD) with a REG-seeded copy of the op's first output, so
+# the op sits in an SCC and runs in a generated epoch kernel instead.
+
+
+class _RingBuilder(ConfigBuilder):
+    """ConfigBuilder whose sources come back as ``source + REG`` mixers;
+    ``build`` closes each REG from the output 0 of the object the mixer
+    feeds (the op under test)."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.mixers = []
+
+    def source(self, name, data=None, *, bits=24):
+        src = super().source(name, data, bits=bits)
+        mix = self.alu("ADD", name=f"mix_{name}")
+        reg = self.alu("REG", name=f"ring_{name}", init=(1, 2, 3, 4))
+        self.connect(src, 0, mix, 0)
+        self.connect(reg, 0, mix, 1)
+        self.mixers.append((mix, reg))
+        return mix
+
+    def build(self):
+        self.ops = []
+        for mix, reg in self.mixers:
+            wire = mix.outputs[0].wires[0]
+            op = next(o for o in self._cfg.objects
+                      if any(p.wire is wire for p in o.inputs))
+            self.connect(op, 0, reg, 0)
+            self.ops.append(op)
+        return super().build()
+
+
+#: families whose only objects are generators: no input to close a ring
+_NO_INPUT = {"counter_wrap", "counter_stop", "const_count", "seq_finite"}
+RING_FAMILIES = sorted(set(test_fastpath._FAMILIES) - _NO_INPUT)
+
+
+def _run_ring(family, scheduler, monkeypatch):
+    builders = []
+
+    def builder(name):
+        builders.append(_RingBuilder(name))
+        return builders[-1]
+
+    monkeypatch.setattr(test_fastpath, "ConfigBuilder", builder)
+    rng = np.random.default_rng(crc32(family.encode()))
+    cfg, inputs = test_fastpath._FAMILIES[family](rng)
+    mgr = ConfigurationManager()
+    mgr.load(cfg)
+    graph = capture(mgr)
+    mgr.remove(cfg)
+    ops = {o.name for o in builders[0].ops}
+    in_ring = {graph.nodes[i].obj.name for i in graph.epoch_nodes()}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = execute(cfg, inputs=inputs, max_cycles=5000,
+                      scheduler=scheduler)
+    fallbacks = [w for w in caught
+                 if issubclass(w.category, FastpathFallbackWarning)]
+    outs = {name: list(vals) for name, vals in res.outputs.items()}
+    return outs, _stats_key(res.stats), fallbacks, ops <= in_ring
+
+
+@pytest.mark.parametrize("family", RING_FAMILIES)
+def test_op_family_in_feedback_ring_matches_naive(family, monkeypatch):
+    ref_outs, ref_stats, _, _ = _run_ring(family, "naive", monkeypatch)
+    got_outs, got_stats, fallbacks, op_in_scc = _run_ring(
+        family, "fastpath", monkeypatch)
+    assert op_in_scc, "op under test must be lowered by an epoch kernel"
+    assert not fallbacks, [str(w.message) for w in fallbacks]
+    assert any(ref_outs.values()), "ring produced no tokens"
+    assert got_outs == ref_outs
+    assert got_stats == ref_stats
 
 
 # -- mid-run reconfiguration across the cyclic/acyclic boundary -------------------

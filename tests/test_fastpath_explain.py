@@ -29,12 +29,11 @@ from repro.fastpath.ir import (
     REASON_DYNAMIC_SHIFT,
     REASON_EMPTY_NETLIST,
     REASON_FAULT_TAP,
-    REASON_FEEDBACK_CYCLE,
     REASON_INSTANCE_OVERRIDE,
-    REASON_SELF_LOOP,
     REASON_SHIFT_RANGE,
     REASON_UNBOUND_INPUT,
     REASON_UNSUPPORTED_TYPE,
+    REASON_WORD_WIDTH,
 )
 from repro.kernels import build_descrambler_config
 from repro.telemetry.metrics import MetricsRegistry, set_metrics
@@ -146,6 +145,12 @@ def _mgr_fault_tap():
     return mgr
 
 
+def _mgr_word_width():
+    b = ConfigBuilder("wide")
+    b.chain(b.source("a"), b.alu("ADD", const=1, bits=63), b.sink("y"))
+    return _load(b.build())
+
+
 SCENARIOS = {
     REASON_UNSUPPORTED_TYPE: _mgr_unsupported_type,
     REASON_INSTANCE_OVERRIDE: _mgr_instance_override,
@@ -159,16 +164,13 @@ SCENARIOS = {
     REASON_EMPTY_NETLIST: _mgr_empty_netlist,
     REASON_DANGLING_WIRE: _mgr_dangling_wire,
     REASON_FAULT_TAP: _mgr_fault_tap,
+    REASON_WORD_WIDTH: _mgr_word_width,
 }
 
 
 def test_reason_code_table_is_complete():
     assert len(REASON_CODES) == len(set(REASON_CODES))
     assert set(SCENARIOS) == set(REASON_CODES)
-    # cycles compile since the epoch lowering: the codes are retired —
-    # importable for old tooling but no longer rejection reasons
-    assert REASON_SELF_LOOP not in REASON_CODES
-    assert REASON_FEEDBACK_CYCLE not in REASON_CODES
 
 
 @pytest.mark.parametrize("code", sorted(SCENARIOS))
