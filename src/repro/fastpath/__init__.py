@@ -6,11 +6,15 @@ as batched NumPy int64 operations instead of object-at-a-time
 plan/commit dispatch.  Results are bit-exact with the event and naive
 schedulers.  Feedback rings compile too: each strongly-connected
 component is lowered into a generated time-stepped *epoch kernel*
-while the acyclic remainder keeps the whole-trace value pass.  Graphs
-the compiler cannot prove (custom firing rules, RAM-backed objects,
-fault taps) transparently fall back to the event scheduler with a
-:class:`FastpathFallbackWarning` (deduplicated per netlist shape and
-reason per process).  Compiled kernels are cached content-addressed —
+while the acyclic remainder keeps the whole-trace value pass.
+RAM-PAEs compile as a gather from their memory image at session open;
+a read of an address the session already wrote (a RAM hazard) ends
+the compiled replay at that cycle and the event scheduler runs the
+rest (reason ``ram-hazard``).  Graphs the compiler cannot prove
+(custom firing rules, memory ports, fault taps) transparently fall
+back to the event scheduler with a :class:`FastpathFallbackWarning`
+(deduplicated per netlist shape and reason per process).  Compiled
+kernels are cached content-addressed —
 in-process LRU plus an optional on-disk artifact store
 (:mod:`repro.fastpath.cache`).
 

@@ -46,7 +46,7 @@ from repro.telemetry.metrics import get_metrics
 
 #: bump when generated-kernel semantics change; invalidates every
 #: cached artifact (memory keys and disk files both embed it)
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 #: max graphs kept compiled in this process
 LRU_MAX = 64

@@ -22,7 +22,9 @@ manager and reports what happened as a structured
   generator families flagged);
 * trace length of the bounded replay, kernel source size, and the
   checkpoint cadences (:data:`~repro.fastpath.lower.FIRES_CHECK`,
-  :data:`~repro.fastpath.lower.STATE_CHECK`);
+  :data:`~repro.fastpath.lower.STATE_CHECK`); a replay that stops at
+  a RAM hazard reports code ``ram-hazard`` (the runtime would hand
+  the rest of the run to the event scheduler there);
 * wall-clock phase timings (capture / lower / emit / compile / replay)
   recorded as tracer spans, so the same report feeds Chrome traces.
 
@@ -41,13 +43,20 @@ from typing import Optional
 
 from repro.fastpath.cache import graph_fingerprint, probe
 from repro.fastpath.capture import capture, check_runtime_state
-from repro.fastpath.ir import GENERATORS, UnsupportedGraphError, classify
+from repro.fastpath.ir import (
+    GENERATORS,
+    REASON_RAM_HAZARD,
+    UnsupportedGraphError,
+    classify,
+)
 from repro.fastpath.lower import (
     FIRES_CHECK,
     STATE_CHECK,
     compile_trace,
     emit_epoch,
     emit_trace,
+    side_lists,
+    state_spec,
     value_streams,
 )
 from repro.telemetry.tracer import Tracer
@@ -254,18 +263,19 @@ def explain(manager, *, cycles: int = DEFAULT_CYCLES,
 
     with tr.span("explain.replay", cat="fastpath"):
         t0 = time.perf_counter()
-        from repro.fastpath.lower import state_spec
         from repro.fastpath.runtime import initial_state
-        sv = [None] * len(graph.edges)
-        for j in sorted({n.in_edges[0] for n in graph.nodes
-                         if n.kind in ("demux", "merge", "gate")}):
-            sv[j] = edge_vals[j].tolist()
         masks: list = []
-        done, _ = trace(initial_state(graph, state_spec(graph)),
-                        sv, masks, [], [], cycles)
+        code, _ = trace(initial_state(graph, state_spec(graph)),
+                        side_lists(graph, edge_vals), masks, [], [], cycles)
         report.trace_cycles = len(masks)
-        report.absorbed = bool(done)
+        report.absorbed = code == 1
         report.timings_s["replay"] = time.perf_counter() - t0
 
+    if code == 2:
+        report.code = REASON_RAM_HAZARD
+        report.message = (f"RAM read at cycle {len(masks)} hits an address "
+                          f"written earlier in the run; the event "
+                          f"scheduler runs from there")
+        return report
     report.ok = True
     return report

@@ -49,6 +49,7 @@ REASON_EMPTY_NETLIST = "empty-netlist"
 REASON_DANGLING_WIRE = "dangling-wire"
 REASON_FAULT_TAP = "fault-tap"
 REASON_WORD_WIDTH = "word-width"
+REASON_RAM_HAZARD = "ram-hazard"
 
 #: All reason codes, for docs/CLI validation.
 REASON_CODES = (
@@ -56,7 +57,7 @@ REASON_CODES = (
     REASON_UNBOUND_INPUT, REASON_DYNAMIC_SHIFT, REASON_SHIFT_RANGE,
     REASON_CONST_RANGE, REASON_COUNTER_STEP, REASON_COUNTER_RANGE,
     REASON_CIRCULAR_FIFO, REASON_EMPTY_NETLIST, REASON_DANGLING_WIRE,
-    REASON_FAULT_TAP, REASON_WORD_WIDTH,
+    REASON_FAULT_TAP, REASON_WORD_WIDTH, REASON_RAM_HAZARD,
 )
 
 
@@ -105,6 +106,7 @@ KIND_OF = {
     alu.ComplexIntegrator: "cinteg",
     alu.Reg: "reg",
     ram.FifoPae: "fifo",
+    ram.RamPae: "ram",
 }
 
 #: kinds whose plan is the default firing rule gated by a token budget
@@ -148,6 +150,14 @@ class Node:
     def out_edges(self):
         """All out edge indices across every port, in port order."""
         return [j for port in self.out_ports for j in port]
+
+    def value_ins(self) -> list:
+        """Bound input edges whose token values the node's outputs are
+        computed from: every input, except a RAM's write ports (reads
+        gather from the session-open memory snapshot; writes only land
+        in ``mem`` at write-back)."""
+        ins = self.in_edges[:1] if self.kind == "ram" else self.in_edges
+        return [j for j in ins if j is not None]
 
 
 @dataclass
@@ -356,7 +366,13 @@ def build_schedule(nodes, edges) -> tuple:
     pass, feedback components (size > 1, or a self-loop) become
     ``("scc", s)`` units lowered by epoch kernels.  ``topo`` is the
     flat node order of the same walk.
+
+    Only value dependencies order the walk: edges into a RAM's write
+    ports are left out, so the FFT stage's RAM -> butterfly -> RAM
+    loop is acyclic.  (The count pass checks that no read needed a
+    write from the same session; see ``lower._plan_line``.)
     """
+    edges = [e for e in edges if e.j in nodes[e.dst].value_ins()]
     self_loops = {e.src for e in edges if e.src == e.dst}
     comps = list(reversed(strongly_connected(nodes, edges)))
     topo = []

@@ -20,9 +20,19 @@ into something that executes whole runs per call:
   keep replay and state write-back O(1)-ish.  A zero mask is absorbing
   (no state changed, so no plan can change) and ends the trace.
 
-Data-dependent routing (DEMUX/MERGE/GATE) is the one place values feed
+Data-dependent routing (DEMUX/MERGE/GATE) is one place values feed
 back into scheduling; those select streams are handed to the trace
 kernel as plain Python lists indexed by the select edge's pop counter.
+
+RAM-PAEs are the other.  The value pass reads every RAM through a
+gather from its memory image at session open, which is exact only for
+a read whose address no earlier cycle of the session wrote.  Each
+RAM's read edge therefore gets a side list too: per read, the index of
+the first write to that address in the write-address stream.  A read
+planned while the write port has popped past that index is a *RAM
+hazard*; the kernel stops at the start of that cycle and the runtime
+hands the rest of the run to the event scheduler.  A same-cycle write
+is fine: the RAM is read-before-write.
 
 Feedback cycles get a third piece.  The count pass is already
 cycle-safe (every plan boolean is computed before any commit and each
@@ -161,6 +171,10 @@ def _node_streams(node, ins, limit):
         return []
     if k == "probe":
         return [ins[0]]
+    if k == "ram":
+        if ins[0] is None:
+            return [_E.copy()]
+        return o.datapath(ins[0], _arr(o.mem))
     if k == "fifo":
         snap = _arr(o._q)
         if o.circular:
@@ -276,13 +290,13 @@ def epoch_spec(graph: Graph, s: int) -> list:
     per-node constant tables and live accumulator state."""
     scc = graph.sccs[s]
     produced = set(scc_produced(graph, s))
-    ext = sorted({j for i in scc for j in graph.nodes[i].in_edges
-                  if j is not None and j not in produced})
+    ext = sorted({j for i in scc for j in graph.nodes[i].value_ins()
+                  if j not in produced})
     spec = [(f"v{j}", "ext", j) for j in ext]
     spec += [(f"v{j}", "seed", j) for j in sorted(produced)]
     for i in scc:
         k = graph.nodes[i].kind
-        if k == "lut":
+        if k in ("lut", "ram"):
             spec.append((f"t{i}", "table", i))
         elif k == "acc":
             spec += [(f"acn{i}", "accn", i), (f"acs{i}", "accs", i)]
@@ -343,7 +357,9 @@ def epoch_env(graph: Graph, s: int, edge_vals: list) -> list:
                 vals += [int(x) for x in n.obj._q]
             env.append(vals)
         elif tag == "table":
-            env.append([int(x) for x in graph.nodes[key].obj.table])
+            o = graph.nodes[key].obj
+            table = o.mem if graph.nodes[key].kind == "ram" else o.table
+            env.append([int(x) for x in table])
         elif tag == "accn":
             env.append(int(graph.nodes[key].obj._n))
         elif tag in ("accs", "integ"):
@@ -374,7 +390,7 @@ def _epoch_inner(n, graph) -> list:
     i = n.i
     o = n.obj
     k = n.kind
-    ins = [j for j in n.in_edges if j is not None]
+    ins = n.value_ins()
     fetch = [f"w{x} = v{j}[q{j}]; q{j} += 1" for x, j in enumerate(ins)]
     w = [Sym(f"w{x}") for x in range(len(ins))]
 
@@ -418,6 +434,8 @@ def _epoch_inner(n, graph) -> list:
         exprs = w
     elif k in ("fifo", "reg"):
         exprs = [fold(w[0], o.bits)]
+    elif k == "ram":    # the session-open image, like a LUT table
+        exprs = o.datapath(w[0], Sym(f"t{i}"))
     else:   # pure ALU op (generators/sinks never sit in an SCC)
         it = iter(w)
         args = [None if j is None else next(it) for j in n.in_edges]
@@ -432,7 +450,7 @@ def _epoch_node(n, graph, ext) -> list:
     input edges, whose lengths are hoisted into ``n{j}`` locals (they
     cannot grow during one kernel call)."""
     i = n.i
-    ins = [j for j in n.in_edges if j is not None]
+    ins = n.value_ins()
 
     def vlen(j):
         return f"n{j}" if j in ext else f"len(v{j})"
@@ -492,8 +510,7 @@ def emit_epoch(graph: Graph, s: int) -> str:
     scc = graph.sccs[s]         # already in member (firing) order
     spec = epoch_spec(graph, s)
     produced = scc_produced(graph, s)
-    consumed = sorted({j for i in scc for j in graph.nodes[i].in_edges
-                       if j is not None})
+    consumed = sorted({j for i in scc for j in graph.nodes[i].value_ins()})
     ext = {key for _, tag, key in spec if tag == "ext"}
     state = ([f"q{j}" for j in consumed] + [f"f{i}" for i in scc]
              + [nm for nm, tag, _ in spec
@@ -567,7 +584,7 @@ def _chk(edge_idxs, graph):
     return " and ".join(terms) if terms else "True"
 
 
-def _plan_line(n, graph):
+def _plan_line(n, graph, state):
     i = n.i
     ins = [j for j in n.in_edges if j is not None]
     outs = n.out_edges()
@@ -607,6 +624,21 @@ def _plan_line(n, graph):
         else:
             lines.append(f"do{i} = False")
         lines.append(f"b{i} = di{i} or do{i}")
+        return lines
+    if k == "ram":
+        ra, wa, wd = n.in_edges
+        lines = [f"dr{i} = " + (f"o{ra} > 0 and ({_chk(outs, graph)})"
+                                if ra is not None else "False")]
+        if wa is None or wd is None:
+            lines.append(f"dw{i} = False")
+        else:
+            lines.append(f"dw{i} = o{wa} > 0 and o{wd} > 0")
+            if ra is not None:
+                # hazard: this read's address was written by an earlier
+                # cycle; stop with the state at the start of this one
+                lines.append(f"if dr{i} and sv{ra}[p{ra}] < p{wa}:")
+                lines.append(f"    return 2, ({state})")
+        lines.append(f"b{i} = dr{i} or dw{i}")
         return lines
     # default firing rule (sources, sinks, probes, plain compute nodes)
     terms = [f"o{j} > 0" for j in ins] + \
@@ -692,6 +724,18 @@ def _commit_block(n, graph):
             body.append(f"    p{x} += 1")
             body.append(f"    fin{i} += 1")
             body.append(f"    fl{i} += 1")
+    elif k == "ram":
+        ra, wa, wd = n.in_edges
+        if ra is not None:
+            body.append(f"if dr{i}:")
+            body.append(f"    o{ra} -= 1")
+            body.append(f"    p{ra} += 1")
+            push(outs, "    ")
+        if wa is not None and wd is not None:
+            body.append(f"if dw{i}:")
+            for j in (wa, wd):
+                body.append(f"    o{j} -= 1")
+                body.append(f"    p{j} += 1")
     else:
         for j in pops:
             pop(j)
@@ -704,13 +748,48 @@ def _commit_block(n, graph):
     return [f"if b{i}:"] + ["    " + ln for ln in body]
 
 
+def _select_edges(graph: Graph) -> set:
+    """Select input edges of the data-dependent routing nodes."""
+    return {n.in_edges[0] for n in graph.nodes
+            if n.kind in ("demux", "merge", "gate")}
+
+
+def _guarded_rams(graph: Graph) -> list:
+    """RAM nodes with both ports bound: their reads are hazard-checked."""
+    return [n for n in graph.nodes
+            if n.kind == "ram" and None not in n.in_edges]
+
+
+def side_lists(graph: Graph, edge_vals: list) -> list:
+    """Per-edge Python lists the trace kernel indexes by the edge's pop
+    counter (None elsewhere): the select stream of every DEMUX, MERGE
+    and GATE, and for each guarded RAM read edge, the index of the
+    first write to each read's address (``INF`` if the window has no
+    such write)."""
+    sv = [None] * len(graph.edges)
+    for j in _select_edges(graph):
+        sv[j] = edge_vals[j].tolist()
+    for n in _guarded_rams(graph):
+        ra, wa, _ = n.in_edges
+        words = n.obj.words
+        first = np.full(words, INF, dtype=np.int64)
+        addrs, idx = np.unique(edge_vals[wa] % words, return_index=True)
+        first[addrs] = idx
+        sv[ra] = first[edge_vals[ra] % words].tolist()
+    return sv
+
+
 def emit_trace(graph: Graph) -> str:
-    """Source of the specialized ``_trace`` kernel for this graph."""
+    """Source of the specialized ``_trace`` kernel for this graph.
+
+    It returns ``(code, state)``: code 0 at ``limit``, 1 when the array
+    went idle (the all-zero mask is the last one appended), 2 on a RAM
+    hazard (state and masks stop at the start of the hazard cycle)."""
     names = [_name(t, x) for t, x in state_spec(graph)]
     unpack = ", ".join(names)
     fnames = ", ".join(f"f{n.i}" for n in graph.nodes)
-    peeked = sorted({n.in_edges[0] for n in graph.nodes
-                     if n.kind in ("demux", "merge", "gate")})
+    peeked = sorted(_select_edges(graph)
+                    | {n.in_edges[0] for n in _guarded_rams(graph)})
     lines = ["def _trace(state, sv, masks, fchk, schk, limit):"]
     lines.append(f"    ({unpack}) = state")
     for j in peeked:
@@ -720,7 +799,7 @@ def emit_trace(graph: Graph) -> str:
     lines.append("    _sa = schk.append")
     lines.append("    while cyc < limit:")
     for i in graph.topo:
-        for ln in _plan_line(graph.nodes[i], graph):
+        for ln in _plan_line(graph.nodes[i], graph, unpack):
             lines.append("        " + ln)
     lines.append("        m = 0")
     for i in graph.topo:

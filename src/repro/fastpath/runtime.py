@@ -18,7 +18,10 @@ seam: it compiles on first step, recompiles from live state whenever
 the configuration manager's version changes (the Fig. 10 mid-run swap),
 and transparently falls back to an inner :class:`EventScheduler` —
 with a :class:`FastpathFallbackWarning` — for graphs the compiler
-cannot prove.
+cannot prove.  A RAM hazard (a read of an address the same session
+already wrote, see :mod:`repro.fastpath.lower`) is found while tracing:
+the session replays up to the start of that cycle, writes its state
+back, and the event scheduler runs the rest (reason ``ram-hazard``).
 """
 
 from __future__ import annotations
@@ -28,12 +31,17 @@ from collections import deque
 
 from repro.fastpath.cache import compile_graph
 from repro.fastpath.capture import capture, check_runtime_state
-from repro.fastpath.ir import REASON_UNSUPPORTED_TYPE, UnsupportedGraphError
+from repro.fastpath.ir import (
+    REASON_RAM_HAZARD,
+    REASON_UNSUPPORTED_TYPE,
+    UnsupportedGraphError,
+)
 from repro.telemetry.metrics import get_metrics
 from repro.fastpath.lower import (
     FIRES_CHECK,
     STATE_CHECK,
     node_budget,
+    side_lists,
     state_spec,
     value_streams,
 )
@@ -110,12 +118,11 @@ class TraceSession:
         self.schk = []      # full count state every STATE_CHECK cycles
         self.cursor = 0     # cycles already replayed into live state
         self.z = None       # first all-idle cycle (absorbing), if seen
+        self.h = None       # cycle of the first RAM hazard, if seen
         self.limit = 0      # value-stream window (= trace cycle limit)
         self.edge_vals = None
         self._epoch_rt = {}     # per-SCC incremental kernel state
-        self.sv = [None] * len(graph.edges)
-        self._peeked = sorted({n.in_edges[0] for n in graph.nodes
-                               if n.kind in ("demux", "merge", "gate")})
+        self.sv = None          # trace-kernel side lists (side_lists)
         # node index -> [live list, value list, consumed count]
         self.collect = {}
         for n in graph.nodes:
@@ -161,6 +168,8 @@ class TraceSession:
             return tuple(o._preload)
         if k == "fifo":
             return tuple(o._q)
+        if k == "ram":
+            return tuple(o.mem)
         return None
 
     # -- tracing -------------------------------------------------------------
@@ -171,34 +180,44 @@ class TraceSession:
         prefix-consistent with every list already handed out."""
         self.edge_vals = value_streams(self.graph, limit, self.epochs,
                                        self._epoch_rt)
-        for j in self._peeked:
-            self.sv[j] = self.edge_vals[j].tolist()
+        self.sv = side_lists(self.graph, self.edge_vals)
         for i, rec in self.collect.items():
             rec[1] = self.edge_vals[self.graph.nodes[i].in_edges[0]].tolist()
         self.limit = limit
 
     def ensure(self, t: int) -> None:
-        """Extend the trace to cover at least ``t`` cycles (or quiet)."""
-        while self.z is None and len(self.masks) < t:
+        """Extend the trace to cover at least ``t`` cycles (or up to
+        quiescence or a RAM hazard)."""
+        while self.z is None and self.h is None and len(self.masks) < t:
             limit = max(t, 2 * len(self.masks), 256)
             self._grow_values(limit)
-            done, self.state = self.trace(self.state, self.sv, self.masks,
+            code, self.state = self.trace(self.state, self.sv, self.masks,
                                           self.fchk, self.schk, limit)
-            if done:
+            if code == 1:
                 self.z = len(self.masks) - 1
+            elif code == 2:
+                self.h = len(self.masks)
 
     # -- replay --------------------------------------------------------------
 
-    def replay_step(self) -> int:
+    def replay_step(self):
+        """Replay one cycle; returns its firings, or None when cycle
+        ``cursor`` is a RAM hazard (the state up to it is written back
+        and the caller must run the cycle itself)."""
         t = self.cursor
-        self.cursor = t + 1
         if self.z is not None and t >= self.z:
             # the array is absorbed: write the final state back now, so
             # a run that ends quiescent leaves no frozen session behind
             # (external mutation between runs then lands on live state)
+            self.cursor = t + 1
             self.materialize()
             return 0
-        self.ensure(t + 1)
+        if t >= len(self.masks):
+            self.ensure(t + 1)
+            if t >= len(self.masks):    # cycle t is a RAM hazard
+                self.materialize()
+                return None
+        self.cursor = t + 1
         m = self.masks[t]
         dec = self._decode.get(m)
         if dec is None:
@@ -233,30 +252,35 @@ class TraceSession:
         return dec
 
     def replay_step_n(self, n: int) -> int:
+        """Replay ``n`` cycles; returns their firings.  Stops early at a
+        RAM hazard, leaving ``cursor`` on the hazard cycle and the state
+        up to it written back."""
         start = self.cursor
         target = start + n
-        self.cursor = target
         if self.z is None:
             self.ensure(target)
+            if self.h is not None:
+                target = min(target, self.h)
+        self.cursor = target
         end = target if self.z is None else min(target, self.z)
-        if end <= start:
-            return 0
-        cf0 = self._cum_fires(start)
-        cf1 = self._cum_fires(end)
         total = 0
-        for node in self.graph.nodes:
-            d = cf1[node.i] - cf0[node.i]
-            if d:
-                node.obj.fired += d
-                total += d
-                rec = self.collect.get(node.i)
-                if rec is not None:
-                    k = rec[2]
-                    rec[0].extend(rec[1][k:k + d])
-                    rec[2] = k + d
-        if self.z is not None and self.cursor > self.z:
-            self.materialize()          # absorbed: see replay_step
-        return total
+        if end > start:
+            cf0 = self._cum_fires(start)
+            cf1 = self._cum_fires(end)
+            for node in self.graph.nodes:
+                d = cf1[node.i] - cf0[node.i]
+                if d:
+                    node.obj.fired += d
+                    total += d
+                    rec = self.collect.get(node.i)
+                    if rec is not None:
+                        k = rec[2]
+                        rec[0].extend(rec[1][k:k + d])
+                        rec[2] = k + d
+        if self.z is not None and self.cursor > self.z \
+                or self.cursor == self.h:
+            self.materialize()          # absorbed (see replay_step) or
+        return total                    # handing over at a hazard
 
     def _cum_fires(self, t: int) -> list:
         """Per-node firing counts over the first ``t`` traced cycles."""
@@ -276,6 +300,8 @@ class TraceSession:
         """Exact count state after ``t`` cycles, via the nearest full
         checkpoint plus a deterministic re-run of the trace kernel."""
         t = min(t, len(self.masks))
+        if self.state[0] == t:          # where tracing stopped
+            return self.state
         j = t // STATE_CHECK
         base = self.schk[j - 1] if j else self.s0
         if base[0] == t:
@@ -346,6 +372,16 @@ class TraceSession:
         elif k == "reg":
             pre = sd[("pre", n.i)]
             o._preload = o._preload[len(o._preload) - pre:]
+        elif k == "ram":
+            _, wa, wd = n.in_edges
+            if wa is not None and wd is not None:
+                nw = sd[("p", wa)]      # writes are this session's pops
+                addrs = self.edge_vals[wa][:nw] % o.words
+                vals = fold(self.edge_vals[wd][:nw], o.bits)
+                for a, v in zip(addrs.tolist(), vals.tolist()):
+                    o.mem[a] = v
+            o._do_read = False
+            o._do_write = False
         elif k == "fifo":
             fin = sd[("fin", n.i)]
             fout = sd[("fout", n.i)]
@@ -456,14 +492,32 @@ class FastpathScheduler:
                                      epochs=st[3])
         return self._session
 
+    def _hand_over(self, s) -> None:
+        """The session stopped at a RAM hazard with its state written
+        back: the event scheduler runs the rest of this version."""
+        self._session = None
+        self._note_fallback(UnsupportedGraphError(
+            f"RAM read at cycle {s.cursor} of the session hits an "
+            f"address the session already wrote", code=REASON_RAM_HAZARD),
+            s.version)
+
     def step(self) -> int:
         s = self._ensure_session()
-        if s is None:
-            return self._inner.step()
-        return s.replay_step()
+        if s is not None:
+            fired = s.replay_step()
+            if fired is not None:
+                return fired
+            self._hand_over(s)
+        return self._inner.step()
 
     def step_n(self, n: int) -> int:
         s = self._ensure_session()
         if s is None:
             return self._inner.step_n(n)
-        return s.replay_step_n(n)
+        start = s.cursor
+        total = s.replay_step_n(n)
+        done = s.cursor - start
+        if done < n:
+            self._hand_over(s)
+            total += self._inner.step_n(n - done)
+        return total

@@ -159,7 +159,10 @@ class Fft64Kernel:
 
     The same butterfly hardware is iterated over the three stages; each
     iteration reloads only the address/twiddle lookup FIFOs (a partial
-    reconfiguration), exactly as the paper's RAM read-back scheme.
+    reconfiguration), exactly as the paper's RAM read-back scheme.  The
+    three stage configurations and their manager are built on the first
+    run and reused: each stage resets its configuration, sets the RAM
+    image, then loads, drains and removes it.
     """
 
     def __init__(self, *, twiddle_bits: int = TWIDDLE_BITS,
@@ -167,6 +170,19 @@ class Fft64Kernel:
         self.twiddle_bits = twiddle_bits
         self.stage_shift = stage_shift
         self.last_stats = []
+        self._stages = None     # [(config, data RAM)] per stage
+        self._manager = None
+
+    def _stage_hardware(self) -> list:
+        if self._stages is None:
+            self._stages = []
+            for stage in range(3):
+                cfg = build_fft_stage_config(
+                    stage, [0] * N, twiddle_bits=self.twiddle_bits,
+                    stage_shift=self.stage_shift)
+                self._stages.append((cfg, cfg.object("data_ram")))
+            self._manager = ConfigurationManager()
+        return self._stages
 
     def run(self, x_re: np.ndarray, x_im: np.ndarray):
         """Transform 64 integer I/Q samples; returns ``(re, im)``."""
@@ -182,20 +198,18 @@ class Fft64Kernel:
             data[i] = pack_complex(int(re[j]), int(im[j]), LANE_BITS)
 
         self.last_stats = []
-        for stage in range(3):
-            cfg = build_fft_stage_config(
-                stage, data, twiddle_bits=self.twiddle_bits,
-                stage_shift=self.stage_shift)
-            mgr = ConfigurationManager()
+        stages = self._stage_hardware()
+        mgr = self._manager
+        for stage, (cfg, ram) in enumerate(stages):
+            cfg.reset()
+            ram.load_image(data)
             mgr.load(cfg)
-            sim = Simulator(mgr)
-            ram = cfg.object("data_ram")
-            waddr = cfg.object("waddr_lut")
-            stats = sim.run(20_000, until=lambda: len(waddr) == 0
-                            and ram.fired >= 2 * N)
+            try:
+                stats = Simulator(mgr).drain()
+            finally:
+                mgr.remove(cfg)
             self.last_stats.append(stats)
             data = list(ram.mem)
-            mgr.remove(cfg)
             probes = get_probes()
             if probes.enabled:
                 # scan the stage's RAM image against the paper's 12-bit

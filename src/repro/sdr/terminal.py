@@ -73,6 +73,7 @@ class Terminal:
         """Decode one 802.11a packet, running the Fig. 10 configuration
         lifecycle on the board's array around the datapath."""
         schedule = Fig10Schedule(self.board.array_manager)
+        cycles0 = self.wlan.array_cycles
         schedule.start_acquisition()
         try:
             psdu, report = self.wlan.receive(rx)
@@ -81,7 +82,7 @@ class Terminal:
             schedule.stop()
         self.report.wlan_packets += 1
         self.report.wlan_bits += psdu.size
-        self.report.array_cycles += self.wlan.array_cycles
+        self.report.array_cycles += self.wlan.array_cycles - cycles0
         self.report.reconfig_cycles += schedule.reconfig_cycles
         return psdu, report
 

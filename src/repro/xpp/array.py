@@ -64,9 +64,6 @@ class XppArray:
     def free_count(self, kind: str) -> int:
         return sum(1 for s in self.slots[kind] if s not in self.owner)
 
-    def free_slots(self, kind: str) -> list:
-        return [s for s in self.slots[kind] if s not in self.owner]
-
     def occupancy(self) -> dict:
         """Used/total per resource kind."""
         return {kind: (len(self.slots[kind]) - self.free_count(kind),
@@ -76,15 +73,16 @@ class XppArray:
     # -- allocation (used by the configuration manager) ----------------------------
 
     def claim(self, kind: str, config_name: str) -> Slot:
-        free = self.free_slots(kind)
-        if not free:
-            raise ResourceError(
-                f"{self.name}: no free {kind} slot for configuration "
-                f"{config_name!r} (protocol forbids overwriting loaded "
-                f"configurations)")
-        slot = free[0]
-        self.owner[slot] = config_name
-        return slot
+        """Claim the first free slot of ``kind``."""
+        owner = self.owner
+        for slot in self.slots[kind]:
+            if slot not in owner:
+                owner[slot] = config_name
+                return slot
+        raise ResourceError(
+            f"{self.name}: no free {kind} slot for configuration "
+            f"{config_name!r} (protocol forbids overwriting loaded "
+            f"configurations)")
 
     def claim_at(self, kind: str, row: int, col: int,
                  config_name: str):

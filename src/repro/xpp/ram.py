@@ -30,6 +30,7 @@ class RamPae(DataflowObject):
 
     KIND = "ram"
     ENERGY = 1.5
+    PARAMS = ("words", "bits")
 
     def __init__(self, name: str, *, words: int = RAM_WORDS,
                  bits: int = RAM_BITS, preload=None):
@@ -41,16 +42,26 @@ class RamPae(DataflowObject):
                 f"{name}: RAM-PAE holds at most {RAM_WORDS} words")
         self.words = words
         self.bits = bits
-        self.mem = [0] * words
-        if preload is not None:
-            data = list(preload)
-            if len(data) > words:
-                raise ConfigurationError(f"{name}: preload exceeds {words} words")
-            for i, v in enumerate(data):
-                self.mem[i] = wrap(v, bits)
-        self._preload = list(self.mem)
+        self.load_image(() if preload is None else preload)
         self._do_read = False
         self._do_write = False
+
+    def load_image(self, data) -> None:
+        """Replace the configured memory image (what :meth:`reset`
+        restores) and the live contents with ``data``, zero-filled to
+        ``words``: the RAM part of reloading a configuration with new
+        data."""
+        data = list(data)
+        if len(data) > self.words:
+            raise ConfigurationError(
+                f"{self.name}: preload exceeds {self.words} words")
+        self._preload = [wrap(v, self.bits) for v in data] \
+            + [0] * (self.words - len(data))
+        self.mem = list(self._preload)
+
+    def datapath(self, raddr, table) -> list:
+        """Read port: ``table`` is the memory image the reads see."""
+        return [table[raddr % self.words]]
 
     def reset(self) -> None:
         """Restore the configured memory image (configuration reload)."""
@@ -83,8 +94,8 @@ class RamPae(DataflowObject):
 
     def commit(self) -> None:
         if self._do_read:
-            addr = self.inputs[0].pop() % self.words
-            self.outputs[0].push(self.mem[addr])
+            self.outputs[0].push(
+                self.datapath(self.inputs[0].pop(), self.mem)[0])
         if self._do_write:
             addr = self.inputs[1].pop() % self.words
             value = wrap(self.inputs[2].pop(), self.bits)

@@ -30,6 +30,7 @@ from repro.fastpath.ir import (
     REASON_EMPTY_NETLIST,
     REASON_FAULT_TAP,
     REASON_INSTANCE_OVERRIDE,
+    REASON_RAM_HAZARD,
     REASON_SHIFT_RANGE,
     REASON_UNBOUND_INPUT,
     REASON_UNSUPPORTED_TYPE,
@@ -41,7 +42,7 @@ from repro.telemetry.tracer import Tracer
 from repro.xpp import ConfigBuilder, execute
 from repro.xpp.alu import make_alu
 from repro.xpp.config import Configuration
-from repro.xpp.io import StreamSink, StreamSource
+from repro.xpp.io import MemoryPort, StreamSink, StreamSource
 from repro.xpp.manager import ConfigurationManager
 
 
@@ -54,10 +55,14 @@ def _load(cfg) -> ConfigurationManager:
 # -- one scenario per reason code -------------------------------------------------
 
 
+def _memory_port_config():
+    cfg = Configuration("memory_port")
+    cfg.add(MemoryPort("mem", size=16))     # not in KIND_OF
+    return cfg
+
+
 def _mgr_unsupported_type():
-    b = ConfigBuilder("ram_mode")
-    b.ram()                             # RamPae is not in KIND_OF
-    return _load(b.build())
+    return _load(_memory_port_config())
 
 
 def _mgr_instance_override():
@@ -145,6 +150,18 @@ def _mgr_fault_tap():
     return mgr
 
 
+def _mgr_ram_hazard():
+    # a write to address 0 commits before a later read of it: the
+    # replay probe stops there (tests/test_xpp_ram.py's write_then_read)
+    b = ConfigBuilder("write_then_read")
+    ram = b.ram(words=4)
+    b.connect(b.source("waddr", [0, 1]), 0, ram, "waddr")
+    b.connect(b.source("wdata", [42, 43]), 0, ram, "wdata")
+    b.connect(b.alu("SEQ", values=[0] * 6 + [0, 1]), 0, ram, "raddr")
+    b.connect(ram, "rdata", b.sink("y"), 0)
+    return _load(b.build())
+
+
 def _mgr_word_width():
     b = ConfigBuilder("wide")
     b.chain(b.source("a"), b.alu("ADD", const=1, bits=63), b.sink("y"))
@@ -165,7 +182,11 @@ SCENARIOS = {
     REASON_DANGLING_WIRE: _mgr_dangling_wire,
     REASON_FAULT_TAP: _mgr_fault_tap,
     REASON_WORD_WIDTH: _mgr_word_width,
+    REASON_RAM_HAZARD: _mgr_ram_hazard,
 }
+
+#: codes the replay probe finds after every compile phase has run
+REPLAY_CODES = {REASON_RAM_HAZARD}
 
 
 def test_reason_code_table_is_complete():
@@ -180,8 +201,12 @@ def test_every_rejection_branch_reports_its_code(code):
     assert report.code == code
     assert code in report.reason_codes
     assert report.message
-    # only the capture phase ran; compile phases were never entered
-    assert set(report.timings_s) == {"capture"}
+    if code in REPLAY_CODES:
+        assert set(report.timings_s) == {
+            "capture", "lower", "emit", "compile", "replay"}
+    else:
+        # only the capture phase ran; compile phases were never entered
+        assert set(report.timings_s) == {"capture"}
     # the report always serializes (CLI --json path)
     json.dumps(report.to_dict())
 
@@ -355,18 +380,26 @@ def test_cli_explain_despreader_compiles_via_epoch(capsys):
     assert "cache:" in out
 
 
+def test_cli_explain_fft_stage_compiles(capsys):
+    # the FFT64 stage's RAM -> butterfly -> RAM loop: the RAM lowers as
+    # a gather and its write ports do not order the value pass, so the
+    # stage is acyclic and its reads never hit a RAM hazard
+    rc = fastpath_main(["explain", "--kernel", "fft_stage", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert payload["ok"] is True
+    assert payload["lowering"]["ram"] == 1
+    assert payload["scc_count"] == 0
+    assert payload["absorbed"] is True
+
+
 def test_cli_explain_reports_fallback(capsys, monkeypatch):
-    # every demo kernel compiles now, so force a rejection: a RAM PAE
-    # is not in the supported-kind table
+    # every demo kernel compiles now, so force a rejection: a memory
+    # port is not in the supported-kind table
     import repro.fastpath.__main__ as cli
-    from repro.xpp import ConfigBuilder
 
-    def _ram_kernel(name):
-        b = ConfigBuilder("ram_mode")
-        b.ram()
-        return b.build()
-
-    monkeypatch.setattr(cli, "_build_kernel", _ram_kernel)
+    monkeypatch.setattr(cli, "_build_kernel",
+                        lambda name: _memory_port_config())
     rc = fastpath_main(["explain", "--kernel", "descrambler"])
     out = capsys.readouterr().out
     assert rc == 1

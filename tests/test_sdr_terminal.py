@@ -67,6 +67,18 @@ class TestTerminal:
         assert t.occupancy()["alu"][0] == 0
         t.shutdown()
 
+    def test_array_cycles_count_each_packet_once(self):
+        """The report adds each packet's own array cycles: one 255-cycle
+        FFT64 (3 stages x 85) per FFT the receiver ran, however many
+        packets came before."""
+        t = Terminal()
+        for seed in (1, 2, 3):
+            rx_w, _psdu = wlan_packet(seed=seed)
+            t.receive_wlan(rx_w)
+            assert t.report.array_cycles == 255 * t.wlan.fft_invocations
+        assert t.report.wlan_packets == 3
+        t.shutdown()
+
     def test_sequential_blocks_track(self):
         t = Terminal(umts_sf=SF, umts_code_index=CI, active_set=[0])
         for seed in range(3):

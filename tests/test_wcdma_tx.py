@@ -14,6 +14,7 @@ from repro.wcdma import (
     bits_to_qpsk,
     descramble,
     despread,
+    ovsf_code,
     qpsk_to_bits,
     scramble,
     scrambling_code,
@@ -56,6 +57,16 @@ class TestSpreadDespread:
         assert chips.size == symbols.size * sf
         back = despread(chips, sf, idx)
         np.testing.assert_allclose(back, symbols, atol=1e-12)
+
+    def test_despread_matches_matrix_product(self):
+        # the integrate-and-dump as a matrix-vector product is the
+        # reference; the summation order differs, so compare at float64
+        # precision for sums of 16 unit-scale chips
+        rng = np.random.default_rng(7)
+        chips = rng.standard_normal(6144) + 1j * rng.standard_normal(6144)
+        ref = chips.reshape(-1, 16) @ ovsf_code(16, 3) / 16
+        np.testing.assert_allclose(despread(chips, 16, 3), ref,
+                                   rtol=0, atol=1e-14)
 
     def test_other_code_rejected(self):
         symbols = bits_to_qpsk([0, 1, 1, 0])
