@@ -211,11 +211,11 @@ def classify(obj) -> str:
         raise UnsupportedGraphError(
             f"{obj.name}: {bits}-bit words exceed the int64 value pass "
             f"(max {MAX_WORD_BITS})", code=REASON_WORD_WIDTH)
+    for p in obj.required_inputs():
+        if not p.bound:
+            raise UnsupportedGraphError(f"{obj.name}: unbound input {p.name}",
+                                        code=REASON_UNBOUND_INPUT)
     if kind == "binary":
-        if not obj.inputs[1].bound and obj.const is None:
-            raise UnsupportedGraphError(
-                f"{obj.name}: input b unconnected and no const",
-                code=REASON_UNBOUND_INPUT)
         if obj.OPCODE in ("SHL", "SHR"):
             if obj.inputs[1].bound:
                 raise UnsupportedGraphError(
@@ -255,21 +255,6 @@ def classify(obj) -> str:
             raise UnsupportedGraphError(
                 f"{obj.name}: circular FIFO with a bound input",
                 code=REASON_CIRCULAR_FIFO)
-    elif kind in ("acc", "cacc", "integ", "cinteg", "reg", "lut",
-                  "unary", "cconj", "cneg", "cmulj", "cshift"):
-        if not obj.inputs[0].bound:
-            raise UnsupportedGraphError(f"{obj.name}: unbound input",
-                                        code=REASON_UNBOUND_INPUT)
-    if kind in ("cadd", "csub", "cmul", "pack", "mux", "swap",
-                "demux", "merge", "gate", "unpack", "sink", "probe"):
-        for p in obj.inputs:
-            if not p.bound:
-                raise UnsupportedGraphError(
-                    f"{obj.name}: unbound input {p.name}",
-                    code=REASON_UNBOUND_INPUT)
-    if kind == "binary" and not obj.inputs[0].bound:
-        raise UnsupportedGraphError(f"{obj.name}: unbound input a",
-                                    code=REASON_UNBOUND_INPUT)
     return kind
 
 

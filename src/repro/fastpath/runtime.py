@@ -10,8 +10,10 @@ exactly what ``Simulator`` stop predicates, telemetry counters and
 ``collect_stats`` read between steps.  Wire queues and internal object
 registers stay frozen at the session snapshot until
 :meth:`TraceSession.materialize` writes the count state at the replay
-cursor back into the live objects (session close: an ``invalidate`` or
-a manager version bump).
+cursor back into the live objects.  That happens when the session
+closes: ``invalidate`` (which ``Simulator`` calls as each call
+returns), a manager version bump, or a RAM hazard.  A session never
+outlives one ``Simulator`` call, so state is live between calls.
 
 :class:`FastpathScheduler` plugs this in behind the standard scheduler
 seam: it compiles on first step, recompiles from live state whenever
@@ -137,40 +139,6 @@ class TraceSession:
         # same set every cycle), so replay decodes each distinct mask once
         self._decode = {}
         self._closed = False
-        # snapshots of exactly the state materialize writes: a live
-        # field that no longer matches its snapshot was mutated from
-        # outside the session (set_data / reset between runs), and the
-        # external mutation wins over the stale computed write-back
-        self._wire_snap = [tuple(e.wire._q) for e in graph.edges]
-        self._node_snap = [self._snap_node(n) for n in graph.nodes]
-
-    @staticmethod
-    def _snap_node(n):
-        o = n.obj
-        k = n.kind
-        if k == "source":
-            return (id(o._data), o._pos)
-        if k == "const":
-            return (o._emitted,)
-        if k == "seq":
-            return (o._pos,)
-        if k == "counter":
-            return (o._value, o._emitted, o._stopped)
-        if k == "integ":
-            return (o._sum,)
-        if k == "cinteg":
-            return (o._re, o._im)
-        if k == "acc":
-            return (o._sum, o._n)
-        if k == "cacc":
-            return (o._re, o._im, o._n)
-        if k == "reg":
-            return tuple(o._preload)
-        if k == "fifo":
-            return tuple(o._q)
-        if k == "ram":
-            return tuple(o.mem)
-        return None
 
     # -- tracing -------------------------------------------------------------
 
@@ -206,11 +174,7 @@ class TraceSession:
         and the caller must run the cycle itself)."""
         t = self.cursor
         if self.z is not None and t >= self.z:
-            # the array is absorbed: write the final state back now, so
-            # a run that ends quiescent leaves no frozen session behind
-            # (external mutation between runs then lands on live state)
-            self.cursor = t + 1
-            self.materialize()
+            self.cursor = t + 1         # absorbed: nothing fires any more
             return 0
         if t >= len(self.masks):
             self.ensure(t + 1)
@@ -277,10 +241,9 @@ class TraceSession:
                         k = rec[2]
                         rec[0].extend(rec[1][k:k + d])
                         rec[2] = k + d
-        if self.z is not None and self.cursor > self.z \
-                or self.cursor == self.h:
-            self.materialize()          # absorbed (see replay_step) or
-        return total                    # handing over at a hazard
+        if self.cursor == self.h:
+            self.materialize()          # handing over at a hazard
+        return total
 
     def _cum_fires(self, t: int) -> list:
         """Per-node firing counts over the first ``t`` traced cycles."""
@@ -319,8 +282,6 @@ class TraceSession:
         sd = {key: v for key, v in zip(self.spec, st)}
         for e in self.graph.edges:
             w = e.wire
-            if tuple(w._q) != self._wire_snap[e.j]:
-                continue                # mutated externally: leave it
             o = sd[("o", e.j)]
             p = sd[("p", e.j)]
             w._q = deque(int(v) for v in self.edge_vals[e.j][p:p + o])
@@ -330,8 +291,7 @@ class TraceSession:
             w._space = e.cap - o
             w.total_transfers += p
         for n in self.graph.nodes:
-            if self._node_snap[n.i] == self._snap_node(n):
-                self._writeback(n, sd)
+            self._writeback(n, sd)
 
     def _writeback(self, n, sd) -> None:
         o = n.obj
@@ -429,8 +389,8 @@ class FastpathScheduler:
         self._fallback_version = None
 
     def invalidate(self) -> None:
-        """Close any open session (writing its state back), so state
-        mutated outside the commit phase is picked up on the next step."""
+        """Close any open session, writing its state back; the next
+        step opens a new one over the live state."""
         self._close_session()
         self._inner.invalidate()
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.pnr import diag as d
 from repro.pnr.diag import Diagnostic
 from repro.pnr.place import levelize
-from repro.xpp.alu import BinaryAlu, Reg, make_alu, opcodes
+from repro.xpp.alu import Reg, make_alu, opcodes
 from repro.xpp.array import XppArray
 from repro.xpp.errors import ConfigurationError
 from repro.xpp.io import StreamSink, StreamSource
@@ -214,22 +214,17 @@ def lint(graph, array: XppArray = None):
                 f"{edge.dst.node} consumes {dst_bits}-bit tokens",
                 edge=edge.label))
 
-    # -- undriven inputs (mirrors Configuration.validate) ------------------------
+    # -- undriven inputs ---------------------------------------------------------
     for node in graph.nodes:
         proto = protos.get(node.name)
-        if proto is None or isinstance(proto, (RamPae, FifoPae)):
-            continue    # RAM/FIFO ports are optional by design
-        if isinstance(proto, StreamSource):
+        if proto is None:
             continue
-        for i, port in enumerate(proto.inputs):
-            if (node.name, i) in driven:
+        for port in proto.required_inputs():
+            if (node.name, port.index) in driven:
                 continue
-            if isinstance(proto, BinaryAlu) and port.name == "b" \
-                    and proto.const is not None:
-                continue    # register constant stands in for input b
             diags.append(Diagnostic(
                 d.PNR_UNDRIVEN_INPUT,
-                f"input {port.name or i} is unconnected but the firing "
+                f"input {port.name} is unconnected but the firing "
                 f"rule waits on it", node=node.name))
 
     # -- feedback loops must carry an initial token ------------------------------

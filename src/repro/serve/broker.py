@@ -314,39 +314,6 @@ class SessionBroker:
                     self.journal.emit("shard_start", shard=shard.index,
                                       respawn=True)
 
-    def _drain_session(self, sid: str) -> Optional[dict]:
-        """Live-migrate one session off its shard: drain -> re-queue.
-
-        Returns the drained state (also stored on the entry), or None
-        if the shard died during the drain — the entry's last stepped
-        state then stands in, via the normal dead-shard path.
-        """
-        entry = self.entries[sid]
-        if entry.shard is None or entry.done:
-            return entry.state
-        shard = self.pool.shards[entry.shard]
-        if not shard.alive or not self.pool.send(shard, ("drain", sid)):
-            return None
-        replies, dead = self.pool.collect(self.step_timeout_s)
-        self._handle_dead(dead)
-        for rshard, reply in replies:
-            if reply[0] == "ok" and reply[1] == "drain" \
-                    and reply[2]["session_id"] == sid:
-                entry.state = reply[2]["state"]
-                shard.resident.discard(sid)
-                entry.shard = None
-                entry.migrations += 1
-                self._migrations += 1
-                self.metrics.counter("serve.migrations").inc()
-                self.queue.appendleft(sid)
-                if self.journal is not None:
-                    self.journal.emit("session_migrated", session_id=sid,
-                                      from_shard=shard.index,
-                                      reason="drain",
-                                      slot_cursor=entry.slots_done)
-                return entry.state
-        return None
-
     def _step_round(self) -> int:
         """Advance every resident session one slot; returns how many
         slots actually ran."""

@@ -14,7 +14,6 @@ parent -> child              child -> parent
                              slot_cursor})``
 ``("step",)``                ``("ok", "step", {advanced: [...],
                              slot_s: [...]})``
-``("drain", sid)``           ``("ok", "drain", {session_id, state})``
 ``("drain_all",)``           ``("ok", "drain_all", {states: {...}})``
 ``("stop",)``                ``("ok", "stop", {flight}])`` then exit
 ===========================  ==========================================
@@ -27,7 +26,7 @@ Every ``step`` reply carries each advanced session's full resumable
 state (:meth:`repro.serve.session.SessionWorkload.state`), so the
 broker always holds a current checkpoint: migration after a shard
 death is "re-admit the last returned state on another shard", with no
-replay gap, and planned (live) migration is ``drain`` -> ``admit``.
+replay gap.
 
 Sessions run the golden numpy receivers
 (:class:`repro.rake.session.RakeSession`,
@@ -133,21 +132,10 @@ def _handle(msg, resident, shard_index, journal, steps, die_after):
             journal.emit("shard_step", shard=shard_index,
                          sessions=len(advanced), step=steps + 1)
         return ("ok", "step", {"advanced": advanced, "slot_s": slot_s})
-    if cmd == "drain":
-        _cmd, sid = msg
-        workload = resident.pop(sid, None)
-        if workload is None:
-            return ("error", f"session {sid!r} is not resident on "
-                             f"shard {shard_index}")
-        return ("ok", "drain", {"session_id": sid,
-                                "state": workload.state()})
     if cmd == "drain_all":
         states = {sid: w.state() for sid, w in sorted(resident.items())}
         resident.clear()
         return ("ok", "drain_all", {"states": states})
-    if cmd == "ping":
-        return ("ok", "ping", {"resident": len(resident),
-                               "steps": steps})
     return ("error", f"unknown command {cmd!r}")
 
 

@@ -102,6 +102,10 @@ class BinaryAlu(AluPae):
         if opcode == "MUL":
             self.ENERGY = 2.0       # the multiplier array dominates
 
+    def required_inputs(self) -> list:
+        # the register constant stands in for input b
+        return self.inputs if self.const is None else self.inputs[:1]
+
     def datapath(self, a, b=None) -> list:
         if b is None:
             if self.const is None:

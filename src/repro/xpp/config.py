@@ -96,24 +96,11 @@ class Configuration:
     def validate(self) -> None:
         """Check the netlist is runnable: inputs that an object's firing
         rule waits on must be driven."""
-        from repro.xpp.io import MemoryPort
         for o in self.objects:
-            if isinstance(o, (RamPae, FifoPae, MemoryPort)):
-                continue    # ports are optional by design
-            required = o.inputs
-            if isinstance(o, StreamSource):
-                required = []
-            for p in required:
-                if not p.bound and not self._optional_input(o, p):
+            for p in o.required_inputs():
+                if not p.bound:
                     raise ConfigurationError(
                         f"{self.name}: {o.name}.{p.name} is unconnected")
-
-    @staticmethod
-    def _optional_input(obj: DataflowObject, port) -> bool:
-        from repro.xpp.alu import BinaryAlu
-        if isinstance(obj, BinaryAlu) and port.name == "b":
-            return obj.const is not None
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         req = dict(self.requirements())

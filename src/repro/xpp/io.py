@@ -109,6 +109,9 @@ class MemoryPort(DataflowObject):
         self._do_read = False
         self._do_write = False
 
+    def required_inputs(self) -> list:
+        return []       # each side fires on its own, driven or not
+
     def plan(self) -> bool:
         raddr, waddr, wdata = self.inputs
         rdata = self.outputs[0]

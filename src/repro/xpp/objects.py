@@ -88,6 +88,10 @@ class DataflowObject:
         """Wires fed by this object's output ports (fan-out flattened)."""
         return [w for p in self.outputs for w in p.wires]
 
+    def required_inputs(self) -> list:
+        """Input ports the firing rule waits on, so each must be driven."""
+        return self.inputs
+
     # -- firing protocol -------------------------------------------------------
 
     def plan(self) -> bool:

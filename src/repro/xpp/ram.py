@@ -83,6 +83,9 @@ class RamPae(DataflowObject):
                               self.bits)
         return self.mem[word]
 
+    def required_inputs(self) -> list:
+        return []       # each side fires on its own, driven or not
+
     def plan(self) -> bool:
         raddr, waddr, wdata = self.inputs
         rdata = self.outputs[0]
@@ -157,6 +160,9 @@ class FifoPae(DataflowObject):
         self._q[idx] = wrap(self._q[idx] ^ (1 << (bit % self.bits)),
                             self.bits)
         return self._q[idx]
+
+    def required_inputs(self) -> list:
+        return []       # each side fires on its own, driven or not
 
     def plan(self) -> bool:
         inp, out = self.inputs[0], self.outputs[0]

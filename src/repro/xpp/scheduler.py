@@ -25,11 +25,10 @@ implementations share one interface:
 
 Both schedulers fall back to a full evaluation whenever the
 configuration manager's ``version`` changes (a ``load``/``remove``, so
-mid-run reconfiguration stays bit-exact) and whenever
-:meth:`invalidate` is called (``Simulator.run``/``step_n`` do this on
-entry, and ``Simulator.step`` on every single step, so state mutated
-from outside the simulator — e.g. ``StreamSource.set_data`` between
-runs — is always picked up).
+mid-run reconfiguration stays bit-exact) and after :meth:`invalidate`
+(``Simulator`` calls it as every ``step``/``step_n``/``run`` returns,
+so state mutated from outside the simulator between calls — e.g.
+``StreamSource.set_data`` between runs — is always picked up).
 
 Equivalence guarantee: for any sequence of runs and reconfigurations,
 the event scheduler fires exactly the same objects in exactly the same
@@ -322,6 +321,7 @@ def make_scheduler(spec=None):
                 f"{sorted(_SCHEDULERS)}") from None
     if isinstance(spec, type):
         return spec()
-    if hasattr(spec, "step") and hasattr(spec, "bind"):
+    if all(hasattr(spec, m) for m in ("bind", "step", "step_n",
+                                       "invalidate")):
         return spec
     raise ConfigurationError(f"not a scheduler: {spec!r}")

@@ -12,6 +12,11 @@ re-plans objects whose wires changed, which is bit-exact with the
 exhaustive :class:`NaiveScheduler` under the two-phase protocol; pass
 ``scheduler="naive"`` (or set ``REPRO_XPP_SCHEDULER=naive``) to force
 the reference behaviour.
+
+One ``Simulator`` call (``step``, ``step_n``, ``run``, ``drain``) is
+the unit of execution: it invalidates the scheduler as it returns, so
+the array state is live between calls and the next call starts with a
+full evaluation of whatever the caller changed in between.
 """
 
 from __future__ import annotations
@@ -64,54 +69,25 @@ class Simulator:
         return self.metrics if self.metrics is not None else get_metrics()
 
     def step(self) -> int:
-        """Advance one clock cycle; returns the number of firings.
-
-        Single steps always run a full evaluation: callers that step
-        manually may have mutated object or wire state in between (e.g.
-        refilling a source), which the event scheduler cannot observe.
-        Use :meth:`step_n` or :meth:`run` for the batched fast path.
-        """
-        self.scheduler.invalidate()
-        fired = self.scheduler.step()
-        self.cycle += 1
-        return fired
+        """Advance one clock cycle; returns the number of firings."""
+        return self.step_n(1)
 
     def step_n(self, n: int) -> int:
         """Advance ``n`` clock cycles; returns the total number of firings.
 
-        The batched counterpart of :meth:`step`: the event scheduler's
-        ready list stays warm across the whole batch, and telemetry is
-        resolved once up front (per-step counters are still emitted when
-        a recording tracer/metrics registry is installed).
+        Without telemetry the whole batch is one ``scheduler.step_n``
+        call; with a recording tracer/metrics registry it runs the
+        per-cycle loop so per-step counters are still emitted.
         """
-        sched = self.scheduler
-        sched.invalidate()
-        sched_step = sched.step
         tracer = self._tracer()
         metrics = self._metrics()
-        tracing = tracer.enabled
-        sampling = metrics.enabled
-        total = 0
-        if tracing or sampling:
-            for _ in range(n):
-                fired = sched_step()
-                self.cycle += 1
-                total += fired
-                if tracing:
-                    tracer.set_time(self.cycle)
-                    tracer.counter("sim.firings", fired, "sim", ts=self.cycle)
-                    tracer.counter("sim.energy", self._energy_now(), "sim",
-                                   ts=self.cycle)
-                if sampling:
-                    self._sample_metrics(metrics, fired)
-        else:
-            batched = getattr(sched, "step_n", None)
-            if batched is not None:
-                total = batched(n)
-            else:
-                for _ in range(n):
-                    total += sched_step()
-            self.cycle += n
+        if tracer.enabled or metrics.enabled:
+            return self._loop(n, None, None, tracer, metrics)[0]
+        try:
+            total = self.scheduler.step_n(n)
+        finally:
+            self.scheduler.invalidate()
+        self.cycle += n
         return total
 
     def run(self, max_cycles: int, *, until: Optional[Callable[[], bool]] = None,
@@ -124,69 +100,14 @@ class Simulator:
         stalled pipeline is not the same as one that drained cleanly.
         """
         start_cycle = self.cycle
-        idle = 0
-        stop_reason = STOP_MAX_CYCLES
         tracer = self._tracer()
         metrics = self._metrics()
-        tracing = tracer.enabled
-        sampling = metrics.enabled
-        sched = self.scheduler
-        sched.invalidate()
-        sched_step = sched.step
-        if tracing or sampling:
-            if tracing:
-                tracer.set_time(self.cycle)
-            while self.cycle - start_cycle < max_cycles:
-                if until is not None and until():
-                    stop_reason = STOP_UNTIL
-                    break
-                fired = sched_step()
-                self.cycle += 1
-                if tracing:
-                    tracer.set_time(self.cycle)
-                    tracer.counter("sim.firings", fired, "sim", ts=self.cycle)
-                    tracer.counter("sim.energy", self._energy_now(), "sim",
-                                   ts=self.cycle)
-                if sampling:
-                    self._sample_metrics(metrics, fired)
-                if fired == 0:
-                    idle += 1
-                    if idle >= quiescent_limit:
-                        stop_reason = STOP_QUIESCENT
-                        break
-                else:
-                    idle = 0
-        elif until is not None:
-            end = start_cycle + max_cycles
-            while self.cycle < end:
-                if until():
-                    stop_reason = STOP_UNTIL
-                    break
-                fired = sched_step()
-                self.cycle += 1
-                if fired == 0:
-                    idle += 1
-                    if idle >= quiescent_limit:
-                        stop_reason = STOP_QUIESCENT
-                        break
-                else:
-                    idle = 0
-        else:
-            cycle = self.cycle
-            end = start_cycle + max_cycles
-            while cycle < end:
-                fired = sched_step()
-                cycle += 1
-                if fired == 0:
-                    idle += 1
-                    if idle >= quiescent_limit:
-                        stop_reason = STOP_QUIESCENT
-                        break
-                else:
-                    idle = 0
-            self.cycle = cycle
+        if tracer.enabled:
+            tracer.set_time(start_cycle)
+        _, stop_reason = self._loop(max_cycles, until, quiescent_limit,
+                                    tracer, metrics)
         cycles = self.cycle - start_cycle
-        if tracing:
+        if tracer.enabled:
             tracer.complete("sim.run", ts=start_cycle, dur=cycles, cat="sim",
                             args={"stop_reason": stop_reason,
                                   "cycles": cycles})
@@ -194,9 +115,52 @@ class Simulator:
                            args={"reason": stop_reason})
         stats = self.collect_stats(cycles)
         stats.stop_reason = stop_reason
-        if sampling:
+        if metrics.enabled:
             self._finish_metrics(metrics, stats)
         return stats
+
+    def _loop(self, n, until, quiescent_limit, tracer, metrics) -> tuple:
+        """Step up to ``n`` cycles, one at a time; returns ``(firings,
+        stop_reason)``.
+
+        Each cycle checks ``until()``, steps, emits telemetry, then
+        counts idle cycles against ``quiescent_limit`` (None: never
+        stop early).  The scheduler is invalidated on the way out, so
+        the call returns with the array state live.
+        """
+        sched_step = self.scheduler.step
+        tracing = tracer.enabled
+        sampling = metrics.enabled
+        limit = n + 1 if quiescent_limit is None else quiescent_limit
+        stop_reason = STOP_MAX_CYCLES
+        total = 0
+        idle = 0
+        end = self.cycle + n
+        try:
+            while self.cycle < end:
+                if until is not None and until():
+                    stop_reason = STOP_UNTIL
+                    break
+                fired = sched_step()
+                self.cycle += 1
+                total += fired
+                if tracing:
+                    tracer.set_time(self.cycle)
+                    tracer.counter("sim.firings", fired, "sim", ts=self.cycle)
+                    tracer.counter("sim.energy", self._energy_now(), "sim",
+                                   ts=self.cycle)
+                if sampling:
+                    self._sample_metrics(metrics, fired)
+                if fired:
+                    idle = 0
+                else:
+                    idle += 1
+                    if idle >= limit:
+                        stop_reason = STOP_QUIESCENT
+                        break
+        finally:
+            self.scheduler.invalidate()
+        return total, stop_reason
 
     def drain(self, max_cycles: int = 100_000, *,
               quiescent_limit: int = 8) -> RunStats:

@@ -21,8 +21,12 @@ import pytest
 from repro import fastpath
 from repro.fastpath import FastpathFallbackWarning, UnsupportedGraphError
 from repro.faults import FaultInjector
-from repro.fixed import pack_complex, saturate, wrap
-from repro.kernels import DespreaderKernel, build_descrambler_config
+from repro.fixed import pack_array, pack_complex, saturate, wrap
+from repro.kernels import (
+    DespreaderKernel,
+    build_descrambler_config,
+    build_despreader_config,
+)
 from repro.xpp import ConfigBuilder, Simulator, execute, make_scheduler
 from repro.xpp.errors import ConfigurationError
 from repro.xpp.manager import ConfigurationManager
@@ -230,6 +234,63 @@ def test_rerun_after_set_data_is_bit_exact():
                           stats.stop_reason, stats.total_firings))
         return trail
     assert script("fastpath") == script("naive")
+
+
+def _despreader_reload_script(scheduler):
+    """A run stopped by ``until`` mid-stream, then a reload of the same
+    configuration (``remove``, ``reset`` to its build-time state,
+    ``load``) and a second run: the state the first run leaves must be
+    live on return, so nothing stale lands on the reloaded netlist."""
+    rng = np.random.default_rng(21)
+    n = 64
+    cfg = build_despreader_config(2, 4)
+    chips = rng.integers(-100, 101, n) + 1j * rng.integers(-100, 101, n)
+    mgr = ConfigurationManager()
+    mgr.load(cfg)
+    cfg.sources["data"].set_data(pack_array(chips, 12))
+    cfg.sources["ovsf"].set_data(rng.integers(0, 2, n))
+    sim = Simulator(mgr, scheduler=make_scheduler(scheduler))
+    sink = cfg.sinks["out"]
+    stats = sim.run(2000, until=lambda: len(sink.received) >= 6)
+    ring = next(o for o in cfg.objects if o.name == "acc_ram")
+    after_until = ([len(w) for w in cfg.wires], list(ring._q),
+                   {o.name: o.fired for o in cfg.objects},
+                   stats.stop_reason, sim.cycle)
+    mgr.remove(cfg)
+    cfg.reset()
+    mgr.load(cfg)
+    stats = sim.run(2000)
+    return after_until, (list(sink.received), stats.stop_reason, sim.cycle)
+
+
+def test_state_is_live_after_until_stop_and_reload():
+    ref = _despreader_reload_script("naive")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FastpathFallbackWarning)
+        got = _despreader_reload_script("fastpath")
+    assert got[0] == ref[0]
+    assert got[1] == ref[1]
+
+
+def _descrambler_drain_script(scheduler):
+    """``execute(..., unload=False)`` stops at the sink's ``expect``;
+    a later ``drain`` on the still-loaded netlist resumes from the
+    state that run left behind."""
+    rng = np.random.default_rng(8)
+    cfg = build_descrambler_config()
+    cfg.sinks["out"].expect = 8
+    mgr = ConfigurationManager()
+    res = execute(cfg, inputs=_descrambler_inputs(rng, 32), manager=mgr,
+                  unload=False, scheduler=scheduler)
+    occupancy = [len(w) for w in cfg.wires]
+    stats = Simulator(mgr, scheduler=scheduler).drain()
+    return (res.outputs, occupancy, list(cfg.sinks["out"].received),
+            stats.stop_reason, stats.total_firings)
+
+
+def test_drain_after_execute_without_unload_is_bit_exact():
+    assert _descrambler_drain_script("fastpath") \
+        == _descrambler_drain_script("naive")
 
 
 # -- chaos campaigns under the fastpath backend -----------------------------------

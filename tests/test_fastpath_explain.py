@@ -84,6 +84,15 @@ def _mgr_unbound_input():
     return _load(cfg)
 
 
+def _mgr_unbound_shift():
+    # a hand-built SHIFT with nothing on input a
+    cfg = Configuration("unbound_shift")
+    sh = cfg.add(make_alu("sh", "SHIFT", amount=2))
+    snk = cfg.add(StreamSink("y"))
+    cfg.connect(sh, 0, snk, 0)
+    return _load(cfg)
+
+
 def _mgr_dynamic_shift():
     b = ConfigBuilder("dyn_shift")
     a = b.source("a")
@@ -185,6 +194,11 @@ SCENARIOS = {
     REASON_RAM_HAZARD: _mgr_ram_hazard,
 }
 
+#: (test id, code, scenario): one per code, plus further inputs
+CASES = [(code, code, SCENARIOS[code]) for code in sorted(SCENARIOS)] + [
+    ("unbound-shift", REASON_UNBOUND_INPUT, _mgr_unbound_shift),
+]
+
 #: codes the replay probe finds after every compile phase has run
 REPLAY_CODES = {REASON_RAM_HAZARD}
 
@@ -194,9 +208,10 @@ def test_reason_code_table_is_complete():
     assert set(SCENARIOS) == set(REASON_CODES)
 
 
-@pytest.mark.parametrize("code", sorted(SCENARIOS))
-def test_every_rejection_branch_reports_its_code(code):
-    report = explain(SCENARIOS[code]())
+@pytest.mark.parametrize("code,build", [c[1:] for c in CASES],
+                         ids=[c[0] for c in CASES])
+def test_every_rejection_branch_reports_its_code(code, build):
+    report = explain(build())
     assert not report.ok
     assert report.code == code
     assert code in report.reason_codes

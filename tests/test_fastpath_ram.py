@@ -36,15 +36,13 @@ def _stats_key(stats):
 
 def _execute(cfg, scheduler, drive):
     """Load ``cfg``, let ``drive(sim)`` run it and return (observables,
-    fallback codes).  The final ``invalidate`` closes any open fastpath
-    session, so the RAM contents read afterwards are written back."""
+    fallback codes)."""
     mgr = ConfigurationManager()
     mgr.load(cfg)
     sim = Simulator(mgr, scheduler=scheduler)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         trail = drive(sim)
-        sim.scheduler.invalidate()
     codes = [w.message.code for w in caught
              if issubclass(w.category, FastpathFallbackWarning)]
     outs = {name: list(s.received) for name, s in cfg.sinks.items()}
