@@ -169,6 +169,7 @@ def _cmd_run(args, *, resume: bool) -> int:
     print(f"campaign {spec.name}: {done}/{spec.total_shards} shards "
           f"recorded, {run.stats['failed_shards']} failed, "
           f"{run.stats['retries']} retries, "
+          f"{run.stats['worker_starts']} worker starts, "
           f"{run.stats['elapsed_s']:.2f}s "
           f"({'complete' if run.complete else 'incomplete'})")
     return 0 if run.complete else EXIT_INCOMPLETE

@@ -7,14 +7,19 @@ metrics):
 * ``workers <= 1`` — an in-process serial loop, the reference
   executor.  No processes, no timeouts; exceptions are retried with
   the same backoff policy.
-* ``workers >= 2`` — a ``multiprocessing`` pool, one process per
-  shard, at most ``workers`` alive at a time.  A worker that *raises*
-  reports the error over its pipe; one that *dies* (segfault,
-  ``os._exit``) is detected by the closed pipe; one that *hangs* past
-  its deadline is terminated.  All three fail the attempt, which is
-  retried with exponential backoff up to ``retries`` times; a shard
-  that exhausts its retries is recorded as **failed** and the campaign
-  carries on — graceful degradation, never a fatal run.
+* ``workers >= 2`` — a ``multiprocessing`` pool of at most
+  ``workers`` warm worker processes, each running shard after shard
+  (:class:`repro.pool.RetryingTaskPool`).  A shard that *raises*
+  reports the error over its pipe and its worker stays up; a worker
+  that *dies* (segfault, ``os._exit``) is detected by the closed pipe;
+  one that *hangs* past its shard's deadline is terminated.  All three
+  fail the attempt, which is retried with exponential backoff up to
+  ``retries`` times; a dead or terminated worker is replaced by a
+  fresh one.  A shard that exhausts its retries is recorded as
+  **failed** and the campaign carries on — graceful degradation, never
+  a fatal run.  ``stats["worker_starts"]`` counts the processes
+  started: at most ``min(workers, shards)`` plus one per death or
+  timeout (a replacement is forked only when a shard needs it).
 
 Determinism: shard seeds depend only on ``(master_seed, flat
 index)`` and the aggregate folds shards in index order with the
@@ -158,7 +163,8 @@ def run_campaign(spec: CampaignSpec, *, workers: int = 1,
     pending = [t for t in tasks if t.key not in outcomes]
     stats = {"workers": workers, "total_shards": len(tasks),
              "resumed_shards": resumed, "executed_shards": 0,
-             "failed_shards": 0, "skipped_shards": 0, "retries": 0}
+             "failed_shards": 0, "skipped_shards": 0, "retries": 0,
+             "worker_starts": 0}
 
     if events_path is None and checkpoint_path is not None:
         events_path = flight.events_path_for(checkpoint_path)
@@ -342,9 +348,9 @@ def _run_pool(state: _RunState, pending, workers: int, retries: int,
               backoff_s: float, timeout_s: Optional[float],
               max_shards: Optional[int], mp_context: Optional[str]) -> None:
     """Campaign adapter over the shared :class:`repro.pool.RetryingTaskPool`:
-    the pool owns spawn/EOF-death/timeout-terminate/retry-backoff, this
-    function owns campaign semantics (early-stop skips, outcome
-    recording, retry stats)."""
+    the pool owns the warm workers, EOF death, timeout-terminate and
+    retry-backoff; this function owns campaign semantics (early-stop
+    skips, outcome recording, retry and worker-start stats)."""
 
     def on_success(task: ShardTask, attempt: int, payload: dict,
                    duration: float) -> None:
@@ -369,3 +375,4 @@ def _run_pool(state: _RunState, pending, workers: int, retries: int,
              on_retry=lambda task, attempt, reason:
              state.note_retry(task, reason),
              on_exhausted=on_exhausted)
+    state.stats["worker_starts"] = pool.worker_starts

@@ -83,7 +83,7 @@ def results_markdown(results: dict, stats: Optional[dict] = None,
     if stats:
         for key in ("workers", "total_shards", "resumed_shards",
                     "executed_shards", "failed_shards", "skipped_shards",
-                    "retries"):
+                    "retries", "worker_starts"):
             if key in stats:
                 lines.append(f"- **{key}**: {stats[key]}")
         if "elapsed_s" in stats:

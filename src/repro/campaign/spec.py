@@ -23,6 +23,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.schema import check_keys
+
 
 class CampaignError(ValueError):
     """A campaign spec, checkpoint or run is invalid.
@@ -44,6 +46,15 @@ BACKENDS = ("naive", "event", "fastpath")
 
 #: The jobs a backend can affect (see :attr:`JobSpec.uses_array`).
 ARRAY_JOBS = "chaos jobs and ofdm_link jobs with receiver 'array'"
+
+#: The top-level keys each spec mapping accepts; anything else is a
+#: misspelling that would otherwise silently run a default.
+CAMPAIGN_KEYS = ("name", "master_seed", "jobs", "sweeps")
+JOB_KEYS = ("job_id", "kind", "params", "shards", "early_stop",
+            "timeout_s", "backend")
+SWEEP_KEYS = ("name", "kind", "base", "axes", "shards", "early_stop",
+              "timeout_s", "backend")
+EARLY_STOP_KEYS = ("min_error_events", "target_rel_err")
 
 
 @dataclass(frozen=True)
@@ -89,6 +100,7 @@ class EarlyStop:
     def from_dict(cls, d: Optional[dict]) -> Optional["EarlyStop"]:
         if d is None:
             return None
+        check_keys(d, EARLY_STOP_KEYS, "early_stop", CampaignError)
         return cls(min_error_events=d.get("min_error_events"),
                    target_rel_err=d.get("target_rel_err"))
 
@@ -153,6 +165,7 @@ class JobSpec:
                                 f"got {type(d).__name__}")
         if "job_id" not in d or "kind" not in d:
             raise CampaignError("job spec needs 'job_id' and 'kind'")
+        check_keys(d, JOB_KEYS, f"job {d['job_id']!r}", CampaignError)
         early = d.get("early_stop")
         if early is not None and not isinstance(early, dict):
             raise CampaignError("'early_stop' must be a mapping")
@@ -228,6 +241,7 @@ class CampaignSpec:
         if not isinstance(d, dict):
             raise CampaignError(f"campaign spec must be a mapping, "
                                 f"got {type(d).__name__}")
+        check_keys(d, CAMPAIGN_KEYS, "campaign spec", CampaignError)
         try:
             jobs_in = d.get("jobs", [])
             if not isinstance(jobs_in, (list, tuple)):
@@ -267,6 +281,8 @@ def expand_sweep(sweep: dict) -> list:
     if not isinstance(sweep, dict):
         raise CampaignError(f"sweep must be a mapping, "
                             f"got {type(sweep).__name__}")
+    check_keys(sweep, SWEEP_KEYS, f"sweep {sweep.get('name')!r}",
+               CampaignError)
     kind = sweep.get("kind")
     if kind not in KINDS:
         raise CampaignError(f"sweep kind {kind!r} unknown")

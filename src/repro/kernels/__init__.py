@@ -20,62 +20,51 @@ array:
   complex ALUs).
 """
 
-from repro.kernels.descrambler import (
-    DescramblerKernel,
-    build_descrambler_config,
-    descrambler_golden,
-)
-from repro.kernels.despreader import (
-    DespreaderKernel,
-    build_despreader_config,
-    despreader_golden,
-)
-from repro.kernels.channel_correction import (
-    ChannelCorrectionKernel,
-    build_channel_correction_config,
-    channel_correction_golden,
-)
-from repro.kernels.combining import CombinerKernel, combiner_golden
-from repro.kernels.dsl import (
-    build_descrambler_config_dsl,
-    build_despreader_config_dsl,
-    descrambler_graph,
-    despreader_graph,
-)
-from repro.kernels.fft64 import Fft64Kernel, build_fft_stage_config
-from repro.kernels.complex_macros import scalar_cmul_config
-from repro.kernels.interleaver_map import (
-    InterleaverKernel,
-    build_interleaver_config,
-)
-from repro.kernels.rake_chain import (
-    RakeChainKernel,
-    build_rake_chain_config,
-    rake_chain_golden,
-)
+import importlib
 
-__all__ = [
-    "ChannelCorrectionKernel",
-    "CombinerKernel",
-    "DescramblerKernel",
-    "DespreaderKernel",
-    "Fft64Kernel",
-    "InterleaverKernel",
-    "RakeChainKernel",
-    "build_interleaver_config",
-    "build_channel_correction_config",
-    "build_descrambler_config",
-    "build_descrambler_config_dsl",
-    "build_despreader_config",
-    "build_despreader_config_dsl",
-    "descrambler_graph",
-    "despreader_graph",
-    "build_fft_stage_config",
-    "build_rake_chain_config",
-    "rake_chain_golden",
-    "channel_correction_golden",
-    "combiner_golden",
-    "descrambler_golden",
-    "despreader_golden",
-    "scalar_cmul_config",
-]
+#: Public name -> the submodule defining it.  Names load on first
+#: access (PEP 562), so a process that runs one kernel — a campaign
+#: worker running descrambler chaos shards — does not import the
+#: others, nor the pnr compiler and OFDM chain they pull in.
+_EXPORTS = {
+    "DescramblerKernel": "descrambler",
+    "build_descrambler_config": "descrambler",
+    "descrambler_golden": "descrambler",
+    "DespreaderKernel": "despreader",
+    "build_despreader_config": "despreader",
+    "despreader_golden": "despreader",
+    "ChannelCorrectionKernel": "channel_correction",
+    "build_channel_correction_config": "channel_correction",
+    "channel_correction_golden": "channel_correction",
+    "CombinerKernel": "combining",
+    "combiner_golden": "combining",
+    "build_descrambler_config_dsl": "dsl",
+    "build_despreader_config_dsl": "dsl",
+    "descrambler_graph": "dsl",
+    "despreader_graph": "dsl",
+    "Fft64Kernel": "fft64",
+    "build_fft_stage_config": "fft64",
+    "scalar_cmul_config": "complex_macros",
+    "InterleaverKernel": "interleaver_map",
+    "build_interleaver_config": "interleaver_map",
+    "RakeChainKernel": "rake_chain",
+    "build_rake_chain_config": "rake_chain",
+    "rake_chain_golden": "rake_chain",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -1,26 +1,27 @@
 """Shared worker-process lifecycle: spawn, watch, time out, retry.
 
-Two subsystems run simulator work in child processes: the campaign
-executor (:mod:`repro.campaign.pool` — one process per shard, one
-result per process) and the session service (:mod:`repro.serve` —
-long-lived shard workers hosting resident sessions).  Both need the
-same machinery underneath:
+Two subsystems run simulator work in long-lived child processes: the
+campaign executor (:mod:`repro.campaign.pool` — at most ``workers``
+warm workers, each running many shards in turn) and the session
+service (:mod:`repro.serve` — shard workers hosting resident
+sessions).  Both need the same machinery underneath:
 
 * a deterministic multiprocessing context (``fork`` where available,
   ``spawn`` otherwise);
-* a handle pairing a child process with its pipe, with deadline
-  bookkeeping and a kill switch;
-* dead-worker detection — a worker that *raises* reports the error
-  over its pipe, one that *dies* (segfault, ``os._exit``, kill -9)
-  is detected by the closed pipe (EOF), one that *hangs* past its
-  deadline is terminated;
+* a handle pairing a child process with its duplex pipe, with
+  deadline bookkeeping and a kill switch;
+* one worker-side request/reply loop (:func:`serve_requests`);
+* dead-worker detection — a worker whose request *raises* reports the
+  error over its pipe and stays up, one that *dies* (segfault,
+  ``os._exit``, kill -9) is detected by the closed pipe (EOF), one
+  that *hangs* past its deadline is terminated;
 * retry with exponential backoff, and graceful degradation when the
   retry budget is exhausted.
 
-:class:`RetryingTaskPool` packages the one-task-per-process pattern
+:class:`RetryingTaskPool` packages the many-tasks-per-worker pattern
 (the campaign executor's engine); :class:`WorkerHandle` and
 :func:`wait_workers` are the lower-level pieces the serve shard pool
-builds its long-lived workers from.
+builds its workers from.
 """
 
 from __future__ import annotations
@@ -152,32 +153,84 @@ def wait_workers(handles, timeout: Optional[float] = None) -> list:
     return [h for h in handles if h.conn in ready]
 
 
-# -- one task per process, with retries ----------------------------------------------
+# -- the worker side ------------------------------------------------------------------
 
 
-def _task_entry(conn, entry: Callable, task, attempt: int) -> None:
-    """Worker-process body: run one task, ship the result back."""
+def serve_requests(conn, handle: Callable, *,
+                   last: Callable = lambda request: False) -> None:
+    """Body of a long-lived worker: answer requests one at a time.
+
+    Receives a request over ``conn``, sends back ``handle(request)``
+    and repeats until the parent closes the pipe (EOF), a reply cannot
+    be sent, or ``last(request)`` holds (that request is still
+    answered).  ``handle`` owns its error policy: an exception that
+    escapes it ends the worker, which the parent sees as a death.
+    """
     try:
-        payload = (True, entry(task, attempt))
-    except BaseException as exc:
-        payload = (False, f"{type(exc).__name__}: {exc}")
-    try:
-        conn.send(payload)
-    except Exception:
-        pass
+        while True:
+            try:
+                request = conn.recv()
+            except EOFError:
+                return              # the parent went away
+            reply = handle(request)
+            try:
+                conn.send(reply)
+            except Exception:
+                return
+            if last(request):
+                return
     finally:
-        conn.close()
+        try:
+            conn.close()
+        except Exception:
+            pass
+
+
+#: The request that tells a :class:`RetryingTaskPool` worker to exit.
+_STOP = None
+
+#: Why an attempt whose worker died (EOF) failed.
+_DIED = "worker died without a result"
+
+#: Seconds a stopped pool worker gets to exit before it is terminated.
+_STOP_GRACE_S = 2.0
+
+
+def _pool_worker(conn, entry: Callable) -> None:
+    """Pool worker body: run ``(task, attempt)`` requests until told to
+    stop, answering ``(True, result)`` or ``(False, reason)``."""
+
+    def run_task(request):
+        if request is _STOP:
+            return None
+        task, attempt = request
+        try:
+            return True, entry(task, attempt)
+        except Exception as exc:
+            # the worker stays up; an interrupt or exit ends it instead
+            return False, f"{type(exc).__name__}: {exc}"
+
+    serve_requests(conn, run_task, last=lambda request: request is _STOP)
+
+
+# -- many tasks per worker, with retries ---------------------------------------------
 
 
 class RetryingTaskPool:
-    """Deterministic process-per-task executor with retry/backoff.
+    """Deterministic warm-worker executor with retry/backoff.
 
-    Runs ``entry(task, attempt)`` in a child process per task, at most
-    ``workers`` alive at a time.  An attempt fails when the worker
-    raises, dies (EOF) or outlives its deadline (terminated); failed
-    attempts are retried with exponential backoff up to ``retries``
-    times, then reported as exhausted — degradation is the caller's
-    policy, never the pool's.
+    Runs ``entry(task, attempt)`` on at most ``workers`` forked worker
+    processes per :meth:`run`; each worker runs task after task, so a
+    process is started (and the runner's modules imported) once per
+    worker, not once per task.  Each task's deadline is armed when it
+    is sent.  An attempt fails when ``entry`` raises (the worker stays
+    up), the worker dies (EOF) or outlives the deadline (terminated);
+    a fresh worker replaces a dead or terminated one on the next
+    launch.  Failed attempts are retried with exponential backoff up
+    to ``retries`` times, then reported as exhausted — degradation is
+    the caller's policy, never the pool's.  Every worker is stopped
+    (or terminated) before :meth:`run` returns or raises;
+    :attr:`worker_starts` counts the processes the last call started.
 
     The caller observes everything through hooks (all optional except
     ``on_success``/``on_exhausted``):
@@ -185,7 +238,7 @@ class RetryingTaskPool:
     ``should_skip(task)`` / ``on_skip(task)``
         Checked at launch time; a skipped task consumes no budget.
     ``on_start(task, attempt)``
-        An attempt's process is about to start.
+        An attempt is about to be sent to a worker.
     ``on_success(task, attempt, payload, duration_s)``
         The task's result arrived.
     ``on_retry(task, attempt, reason)``
@@ -218,10 +271,28 @@ class RetryingTaskPool:
         self.noun = noun
         self.task_order = task_order
         self.task_timeout = task_timeout
+        self.worker_starts = 0
 
     def _limit(self, task) -> Optional[float]:
         per_task = self.task_timeout(task)
         return per_task if per_task is not None else self.timeout_s
+
+    def _start_worker(self) -> WorkerHandle:
+        self.worker_starts += 1
+        return WorkerHandle.spawn(self.ctx, _pool_worker, (self.entry,),
+                                  duplex=True)
+
+    @staticmethod
+    def _stop(handles) -> None:
+        """Ask idle workers to exit; terminate any that do not."""
+        for handle in handles:
+            try:
+                handle.send(_STOP)
+            except OSError:
+                pass            # already gone; terminate() reaps it
+        for handle in handles:
+            handle.join(_STOP_GRACE_S)
+            handle.terminate()
 
     def run(self, tasks, *, budget: Optional[int] = None,
             should_skip: Callable = lambda task: False,
@@ -236,15 +307,16 @@ class RetryingTaskPool:
         # total and deterministic
         ready = [(0.0, self.task_order(t), t, 0) for t in tasks]
         heapq.heapify(ready)
-        active: dict = {}
+        idle: list = []         # live workers waiting for a task
+        busy: dict = {}         # task order -> worker running it
         consumed = 0
+        self.worker_starts = 0
 
         def budget_left() -> bool:
-            return budget is None or consumed + len(active) < budget
+            return budget is None or consumed + len(busy) < budget
 
-        def fail_attempt(handle: WorkerHandle, reason: str) -> None:
+        def fail_attempt(task, attempt: int, reason: str) -> None:
             nonlocal consumed
-            task, attempt = handle.meta
             if attempt < self.retries:
                 on_retry(task, attempt, reason)
                 not_before = time.monotonic() \
@@ -256,10 +328,10 @@ class RetryingTaskPool:
                 consumed += 1
 
         try:
-            while ready or active:
+            while ready or busy:
                 now = time.monotonic()
-                # launch whatever is due and affordable
-                while ready and len(active) < self.workers \
+                # send whatever is due and affordable
+                while ready and len(busy) < self.workers \
                         and ready[0][0] <= now:
                     if not budget_left():
                         break
@@ -268,12 +340,20 @@ class RetryingTaskPool:
                         on_skip(task)
                         continue
                     on_start(task, attempt)
-                    handle = WorkerHandle.spawn(
-                        self.ctx, _task_entry, (self.entry, task, attempt),
-                        meta=(task, attempt), timeout_s=self._limit(task))
-                    active[order] = handle
+                    handle = idle.pop() if idle else self._start_worker()
+                    handle.meta = (task, attempt)
+                    handle.rearm(self._limit(task))
+                    handle.started = time.monotonic()
+                    try:
+                        handle.send((task, attempt))
+                    except OSError:
+                        # died while idle: its pipe is already broken
+                        handle.terminate()
+                        fail_attempt(task, attempt, _DIED)
+                        continue
+                    busy[order] = handle
 
-                if not active:
+                if not busy:
                     if ready and budget_left():
                         # back off until the earliest retry is due
                         time.sleep(min(max(ready[0][0] - time.monotonic(),
@@ -282,38 +362,39 @@ class RetryingTaskPool:
                     break   # budget exhausted or nothing left
 
                 timeout = 0.05
-                if any(h.deadline is not None for h in active.values()):
-                    soonest = min(h.deadline for h in active.values()
+                if any(h.deadline is not None for h in busy.values()):
+                    soonest = min(h.deadline for h in busy.values()
                                   if h.deadline is not None)
                     timeout = min(timeout,
                                   max(soonest - time.monotonic(), 0.0))
-                readable = wait_workers(active.values(), timeout=timeout)
+                readable = wait_workers(busy.values(), timeout=timeout)
 
                 now = time.monotonic()
-                for order, handle in list(active.items()):
+                for order, handle in list(busy.items()):
                     task, attempt = handle.meta
                     if handle in readable:
-                        del active[order]
+                        del busy[order]
                         try:
                             ok, payload = handle.recv()
                         except WorkerDied:
-                            ok, payload = False, \
-                                "worker died without a result"
-                        handle.close()
-                        handle.join()
+                            handle.terminate()
+                            ok, payload = False, _DIED
+                        else:
+                            idle.append(handle)
                         if ok:
                             on_success(task, attempt, payload,
                                        time.monotonic() - handle.started)
                             consumed += 1
                         else:
-                            fail_attempt(handle, payload)
+                            fail_attempt(task, attempt, payload)
                     elif handle.expired(now):
-                        del active[order]
+                        del busy[order]
                         handle.terminate()
                         limit = self._limit(task)
-                        fail_attempt(handle, f"timeout: {self.noun} "
-                                             f"exceeded {limit:g}s")
+                        fail_attempt(task, attempt, f"timeout: {self.noun} "
+                                                    f"exceeded {limit:g}s")
         finally:
-            for handle in active.values():
+            for handle in busy.values():
                 handle.terminate()
+            self._stop(idle)
         return consumed

@@ -27,7 +27,17 @@ from typing import Optional
 
 import numpy as np
 
+from repro.schema import check_keys
+
 SESSION_KINDS = ("rake", "ofdm")
+
+#: The keys :meth:`SessionSpec.from_dict` accepts.
+SESSION_KEYS = ("session_id", "kind", "tenant", "n_slots", "seed",
+                "params")
+#: The keys of a service spec and of its ``load`` groups
+#: (:func:`expand_sessions`).
+SERVICE_KEYS = ("master_seed", "sessions", "load")
+LOAD_KEYS = ("kind", "count", "tenant", "prefix", "n_slots", "params")
 
 
 @dataclass(frozen=True)
@@ -64,6 +74,7 @@ class SessionSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SessionSpec":
+        check_keys(d, SESSION_KEYS, f"session {d.get('session_id')!r}")
         params = d.get("params") or {}
         return cls(session_id=str(d["session_id"]),
                    kind=d.get("kind", "rake"),
@@ -315,6 +326,7 @@ def expand_sessions(spec: dict) -> list:
     over the flat enumeration order, so a spec file pins every
     session's stimulus without spelling out seeds.
     """
+    check_keys(spec, SERVICE_KEYS, "service spec")
     master = int(spec.get("master_seed", 0))
     out = []
 
@@ -329,6 +341,7 @@ def expand_sessions(spec: dict) -> list:
         out.append(SessionSpec.from_dict(d))
         index += 1
     for group in spec.get("load", ()):
+        check_keys(group, LOAD_KEYS, "load group")
         count = int(group.get("count", 1))
         kind = group.get("kind", "rake")
         tenant = group.get("tenant", kind)

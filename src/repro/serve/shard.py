@@ -40,7 +40,12 @@ import os
 import time
 from typing import Optional
 
-from repro.pool import WorkerHandle, resolve_mp_context, wait_workers
+from repro.pool import (
+    WorkerHandle,
+    resolve_mp_context,
+    serve_requests,
+    wait_workers,
+)
 from repro.serve.journal import ServeJournal
 from repro.serve.session import SessionSpec, workload_from_state
 
@@ -62,39 +67,30 @@ def shard_main(conn, shard_index: int, options: Optional[dict] = None):
 
     resident: dict = {}
     steps = 0
+
+    def answer(msg):
+        nonlocal steps
+        if msg and msg[0] == "stop":
+            return ("ok", "stop",
+                    {"flight": flight.payload() if flight is not None
+                     else None})
+        try:
+            reply = _handle(msg, resident, shard_index, journal, steps,
+                            die_after)
+        except Exception as exc:
+            reply = ("error", f"{type(exc).__name__}: {exc}")
+        if msg and msg[0] == "step":
+            steps += 1
+        return reply
+
     try:
-        while True:
-            try:
-                msg = conn.recv()
-            except EOFError:
-                break                   # broker went away
-            if msg and msg[0] == "stop":
-                payload = flight.payload() if flight is not None else None
-                try:
-                    conn.send(("ok", "stop", {"flight": payload}))
-                except Exception:
-                    pass
-                break
-            try:
-                reply = _handle(msg, resident, shard_index, journal,
-                                steps, die_after)
-            except Exception as exc:
-                reply = ("error", f"{type(exc).__name__}: {exc}")
-            if msg and msg[0] == "step":
-                steps += 1
-            try:
-                conn.send(reply)
-            except Exception:
-                break
+        serve_requests(conn, answer,
+                       last=lambda msg: bool(msg) and msg[0] == "stop")
     finally:
         if journal is not None:
             journal.close()
         if flight is not None:
             flight.__exit__(None, None, None)
-        try:
-            conn.close()
-        except Exception:
-            pass
 
 
 def _handle(msg, resident, shard_index, journal, steps, die_after):

@@ -64,27 +64,46 @@ def ovsf_tree_conflicts(sf_a: int, idx_a: int, sf_b: int, idx_b: int) -> bool:
 # downlink scrambling codes (TS 25.213 sec. 5.2.2 Gold sequences)
 # ---------------------------------------------------------------------------
 
+def _m_sequence(seed, taps: tuple) -> np.ndarray:
+    """One period of the 18-stage m-sequence ``s(i+18) = XOR of s(i+t)
+    for t in taps`` (``taps`` includes 0), from the 18-bit ``seed``.
+
+    Over GF(2), ``p(D)^(2^k) = p(D^(2^k))``, so the sequence also obeys
+    ``s(i+18m) = XOR of s(i+t*m)`` for every power of two ``m``.  With
+    ``top`` the largest tap below 18, a prefix of at least ``18m``
+    terms fixes the next ``(18-top)*m`` terms at once: one vectorised
+    XOR per block, with ``m`` doubling as the prefix grows.
+    """
+    n = SCRAMBLING_LFSR_PERIOD
+    s = np.empty(n, dtype=np.int8)
+    s[:18] = seed
+    top = max(taps)
+    filled, m = 18, 1
+    while filled < n:
+        while filled >= 36 * m:
+            m *= 2
+        block = min((18 - top) * m, n - filled)
+        base = filled - 18 * m
+        new = s[base:base + block].copy()
+        for t in taps:
+            if t:
+                new ^= s[base + t * m:base + t * m + block]
+        s[filled:filled + block] = new
+        filled += block
+    return s
+
+
 @lru_cache(maxsize=1)
 def _x_sequence() -> np.ndarray:
     """The m-sequence x: x(i+18) = x(i+7) + x(i) mod 2, seed 100...0."""
-    n = SCRAMBLING_LFSR_PERIOD
-    x = np.zeros(n + 18, dtype=np.int8)
-    x[0] = 1
-    for i in range(n):
-        x[i + 18] = x[i + 7] ^ x[i]
-    return x[:n]
+    return _m_sequence([1] + [0] * 17, (0, 7))
 
 
 @lru_cache(maxsize=1)
 def _y_sequence() -> np.ndarray:
     """The m-sequence y: y(i+18) = y(i+10) + y(i+7) + y(i+5) + y(i),
     seed all ones."""
-    n = SCRAMBLING_LFSR_PERIOD
-    y = np.zeros(n + 18, dtype=np.int8)
-    y[:18] = 1
-    for i in range(n):
-        y[i + 18] = y[i + 10] ^ y[i + 7] ^ y[i + 5] ^ y[i]
-    return y[:n]
+    return _m_sequence([1] * 18, (0, 5, 7, 10))
 
 
 @lru_cache(maxsize=32)
@@ -109,10 +128,11 @@ def scrambling_code(n: int, length: int = FRAME_CHIPS) -> np.ndarray:
     Values are in {+-1 +-j} (the unnormalised QPSK constellation the
     descrambler's multiplexer produces).
 
-    Cached per ``(n, length)`` — a full 38400-chip frame takes a few ms
-    to generate and every link/benchmark run asks for the same handful
-    of codes.  The returned array is read-only; ``.copy()`` it to
-    mutate.
+    Cached per ``(n, length)``: every link/benchmark run asks for the
+    same handful of codes.  The two m-sequences behind all codes are
+    built once per process (about 1 ms, see :func:`_m_sequence`); the
+    first call for a 38400-chip frame then takes about 4 ms.  The
+    returned array is read-only; ``.copy()`` it to mutate.
     """
     if not 0 <= n < SCRAMBLING_LFSR_PERIOD:
         raise ValueError(f"scrambling code number out of range: {n}")

@@ -1,6 +1,7 @@
 """Worker pool fault tolerance and serial/parallel equivalence."""
 
 import json
+import os
 
 import pytest
 
@@ -150,3 +151,35 @@ class TestParallelEquivalence:
         assert job["counts"]["feasible"] == 31
         assert job["counts"]["full_clock"] == 2
         assert job["info"]["table1_rows"]
+
+
+class TestWarmWorkerIsolation:
+    def test_backend_and_cache_env_are_per_shard(self, tmp_path,
+                                                 monkeypatch):
+        """Two warm workers run six shards that alternate between event
+        and fastpath jobs with a shared compile cache.  Each shard sees
+        its own job's backend, the aggregate equals the serial run's,
+        and neither exported variable leaks into the parent."""
+        from repro.telemetry.flight import ShardTelemetry
+
+        monkeypatch.setenv("REPRO_XPP_SCHEDULER", "naive")
+        monkeypatch.delenv("REPRO_FASTPATH_CACHE_DIR", raising=False)
+        jobs = [{"job_id": f"{backend}{k}", "kind": "chaos",
+                 "backend": backend, "params": {"n_chips": 16}}
+                for k in range(3) for backend in ("event", "fastpath")]
+        spec = CampaignSpec.from_dict(
+            {"name": "iso", "master_seed": 23, "jobs": jobs})
+        runs = {w: run_campaign(spec, workers=w, flight_recorder=True,
+                                cache_dir=str(tmp_path / f"fp{w}"))
+                for w in (2, 1)}
+        assert _results_bytes(runs[2]) == _results_bytes(runs[1])
+        assert runs[2].stats["worker_starts"] == 2
+        assert runs[1].stats["worker_starts"] == 0
+        for o in runs[2].outcomes:
+            counters = ShardTelemetry.from_dict(o.telemetry).counters
+            ran_fastpath = any(k.startswith("fastpath.cache.")
+                               for k in counters)
+            assert ran_fastpath == o.job_id.startswith("fastpath"), \
+                (o.job_id, counters)
+        assert os.environ["REPRO_XPP_SCHEDULER"] == "naive"
+        assert "REPRO_FASTPATH_CACHE_DIR" not in os.environ

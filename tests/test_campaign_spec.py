@@ -1,5 +1,7 @@
 """Campaign specs, sweep expansion and deterministic sharding."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,26 @@ class TestSpec:
         changed["jobs"][0]["shards"] = 4
         assert CampaignSpec.from_dict(changed).fingerprint() \
             != base.fingerprint()
+
+    def test_every_emitted_key_is_accepted(self):
+        """Strict keys never refuse what ``to_dict`` writes, so saved
+        specs and checkpoints keep loading."""
+        spec = CampaignSpec.from_dict(
+            {"name": "all", "master_seed": 3,
+             "jobs": [{"job_id": "c", "kind": "chaos", "shards": 2,
+                       "params": {"n_chips": 16}, "timeout_s": 9.0,
+                       "backend": "fastpath",
+                       "early_stop": {"min_error_events": 5,
+                                      "target_rel_err": 0.2}}]})
+        assert CampaignSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("path,fingerprint", [
+        ("examples/smoke_campaign.json", "c7c7d8ffcc79f3ee"),
+        ("examples/chaos_campaign.json", "b26054bb2de9c575"),
+    ])
+    def test_example_fingerprints_unchanged(self, path, fingerprint):
+        root = Path(__file__).resolve().parents[1]
+        assert CampaignSpec.load(root / path).fingerprint() == fingerprint
 
     def test_duplicate_job_ids_rejected(self):
         with pytest.raises(CampaignError, match="duplicate"):

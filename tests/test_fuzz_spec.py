@@ -15,8 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.spec import CampaignError, CampaignSpec
+from repro.serve.session import SessionSpec
 
 CORPUS = sorted((Path(__file__).parent / "corpus" / "spec").glob("*.json"))
+SESSION_CORPUS = sorted(
+    (Path(__file__).parent / "corpus" / "session").glob("*.json"))
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
@@ -27,6 +30,30 @@ def test_corpus_regressions(path):
 
 def test_corpus_is_populated():
     assert len(CORPUS) >= 10
+    assert SESSION_CORPUS
+
+
+@pytest.mark.parametrize("path", SESSION_CORPUS, ids=lambda p: p.stem)
+def test_session_corpus_regressions(path):
+    """Misspelled session keys fail loudly instead of running the
+    default (``"slots": 40`` used to run 8 slots)."""
+    with pytest.raises(ValueError, match="unknown key"):
+        SessionSpec.from_dict(json.loads(path.read_text()))
+
+
+def test_session_spec_round_trips_under_strict_keys():
+    spec = SessionSpec(session_id="s", kind="ofdm", tenant="t", n_slots=3,
+                       seed=5, params=(("snr_db", 9.0),))
+    assert SessionSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_unknown_key_error_names_key_and_accepted_set():
+    with pytest.raises(CampaignError) as info:
+        CampaignSpec.from_dict(
+            {"name": "x", "master_seed": 1,
+             "jobs": [{"job_id": "j", "kind": "fault", "timeout": 5}]})
+    assert "'timeout'" in str(info.value)
+    assert "'timeout_s'" in str(info.value)
 
 
 def test_campaign_error_is_a_value_error():

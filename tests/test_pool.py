@@ -11,6 +11,7 @@ from repro.pool import (
     WorkerHandle,
     exp_backoff,
     resolve_mp_context,
+    serve_requests,
     wait_workers,
 )
 
@@ -31,7 +32,9 @@ def _entry(task, attempt):
         os._exit(7)
     if task.mode == "hang":
         time.sleep(60)
-    return {"idx": task.flat_index, "attempt": attempt}
+    if task.mode == "nap":
+        time.sleep(0.05)
+    return {"idx": task.flat_index, "attempt": attempt, "pid": os.getpid()}
 
 
 def _echo_child(conn):
@@ -48,6 +51,10 @@ def _echo_child(conn):
 
 def _dead_child(conn):
     os._exit(3)
+
+
+def _doubler(conn):
+    serve_requests(conn, lambda n: 2 * n, last=lambda n: n == 0)
 
 
 class Hooks:
@@ -88,6 +95,17 @@ class TestWorkerHandle:
         assert handle.recv() == ("echo", "ping")
         handle.send("quit")
         handle.join(5)
+        handle.close()
+
+    def test_serve_requests_answers_until_last(self):
+        ctx = resolve_mp_context()
+        handle = WorkerHandle.spawn(ctx, _doubler, duplex=True)
+        handle.send(3)
+        assert handle.recv() == 6
+        handle.send(0)              # the last request is still answered
+        assert handle.recv() == 0
+        handle.join(5)
+        assert not handle.alive()
         handle.close()
 
     def test_dead_worker_reads_as_worker_died(self):
@@ -188,3 +206,82 @@ class TestRetryingTaskPool:
         self._pool(workers=1).run(
             [Task(i) for i in (3, 1, 2, 0)], **hooks.kwargs())
         assert [i for i, _a in hooks.started] == [0, 1, 2, 3]
+
+
+class TestWarmWorkers:
+    """Workers outlive a task: at most ``workers`` processes per run,
+    a fresh one after a death or timeout, deadlines armed per task."""
+
+    def _pool(self, **kw):
+        kw.setdefault("workers", 2)
+        kw.setdefault("backoff_s", 0.01)
+        return RetryingTaskPool(_entry, **kw)
+
+    def test_tasks_share_at_most_workers_processes(self):
+        hooks = Hooks()
+        pool = self._pool()
+        assert pool.run([Task(i) for i in range(8)], **hooks.kwargs()) == 8
+        pids = {p["pid"] for _i, _a, p in hooks.success}
+        assert 1 <= len(pids) <= 2
+        assert os.getpid() not in pids
+        assert pool.worker_starts == len(pids)
+
+    def test_replacement_worker_after_death(self):
+        hooks = Hooks()
+        pool = self._pool(workers=1, retries=0)
+        pool.run([Task(0, "die"), Task(1)], **hooks.kwargs())
+        assert hooks.exhausted[0][:2] == (0, 1)
+        assert [i for i, _a, _p in hooks.success] == [1]
+        assert pool.worker_starts == 2
+
+    def test_replacement_worker_after_timeout(self):
+        hooks = Hooks()
+        pool = self._pool(workers=1, retries=0, timeout_s=0.3)
+        pool.run([Task(0, "hang"), Task(1)], **hooks.kwargs())
+        assert "timeout" in hooks.exhausted[0][2]
+        assert [i for i, _a, _p in hooks.success] == [1]
+        assert pool.worker_starts == 2
+
+    def test_raise_keeps_the_worker(self):
+        hooks = Hooks()
+        pool = self._pool(workers=1, retries=0)
+        pool.run([Task(0, "fail"), Task(1), Task(2)], **hooks.kwargs())
+        assert len(hooks.exhausted) == 1 and len(hooks.success) == 2
+        assert pool.worker_starts == 1
+
+    def test_deadline_is_per_task_not_cumulative(self):
+        """Ten 50 ms tasks on one worker take ~0.5 s in all, well past a
+        0.2 s per-task limit, and none of them times out."""
+        hooks = Hooks()
+        pool = self._pool(workers=1, retries=0, timeout_s=0.2)
+        pool.run([Task(i, "nap") for i in range(10)], **hooks.kwargs())
+        assert hooks.exhausted == []
+        assert len(hooks.success) == 10
+        assert pool.worker_starts == 1
+
+    def test_durations_are_per_task(self):
+        durations = []
+        pool = self._pool(workers=1)
+        pool.run([Task(i, "nap") for i in range(4)],
+                 on_success=lambda t, a, p, dur: durations.append(dur))
+        assert len(durations) == 4
+        assert all(0.04 <= d < 0.5 for d in durations)
+
+    def test_workers_are_stopped_when_run_returns(self):
+        import multiprocessing
+        self._pool().run([Task(i) for i in range(4)], **Hooks().kwargs())
+        assert multiprocessing.active_children() == []
+
+    def test_workers_are_terminated_when_a_hook_raises(self):
+        import multiprocessing
+
+        def boom(task, attempt, payload, dur):
+            raise RuntimeError("hook failed")
+
+        try:
+            self._pool().run([Task(0), Task(1, "hang")], on_success=boom)
+        except RuntimeError:
+            pass
+        else:
+            raise AssertionError("expected the hook's error")
+        assert multiprocessing.active_children() == []

@@ -213,6 +213,17 @@ class TestExpandSessions:
                       "n_slots": 3}]})
         assert [s.seed for s in specs] == [s.seed for s in again]
 
+    @pytest.mark.parametrize("spec", [
+        {"sesions": [{"session_id": "a"}]},
+        {"load": [{"kind": "rake", "cnt": 3}]},
+        {"sessions": [{"session_id": "a", "slots": 40}]},
+    ])
+    def test_misspelled_keys_rejected(self, spec):
+        """A misspelling used to run a default: no sessions, one
+        session instead of three, 8 slots instead of 40."""
+        with pytest.raises(ValueError, match="unknown key"):
+            expand_sessions(spec)
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             expand_sessions({"sessions": [

@@ -1,5 +1,7 @@
 """Unit and property tests for OVSF and Gold scrambling codes."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +10,73 @@ from hypothesis import strategies as st
 from repro.wcdma import (
     code_from_2bit,
     code_to_2bit,
+    codes,
     ovsf_code,
     ovsf_tree_conflicts,
     scrambling_code,
     scrambling_code_2bit,
 )
+from repro.wcdma.params import SCRAMBLING_LFSR_PERIOD
 
 sf_strategy = st.sampled_from([4, 8, 16, 32, 64, 128, 256, 512])
+
+
+# -- reference: the TS 25.213 LFSRs stepped one bit at a time -----------------
+
+
+@lru_cache(maxsize=1)
+def _x_reference() -> np.ndarray:
+    """x(i+18) = x(i+7) + x(i) mod 2, seed 100...0."""
+    n = SCRAMBLING_LFSR_PERIOD
+    x = np.zeros(n + 18, dtype=np.int8)
+    x[0] = 1
+    for i in range(n):
+        x[i + 18] = x[i + 7] ^ x[i]
+    return x[:n]
+
+
+@lru_cache(maxsize=1)
+def _y_reference() -> np.ndarray:
+    """y(i+18) = y(i+10) + y(i+7) + y(i+5) + y(i) mod 2, seed all
+    ones."""
+    n = SCRAMBLING_LFSR_PERIOD
+    y = np.zeros(n + 18, dtype=np.int8)
+    y[:18] = 1
+    for i in range(n):
+        y[i + 18] = y[i + 10] ^ y[i + 7] ^ y[i + 5] ^ y[i]
+    return y[:n]
+
+
+def _scrambling_reference(n: int, length: int) -> np.ndarray:
+    """S_dl,n from the reference sequences, TS 25.213 sec. 5.2.2."""
+    x, y = _x_reference(), _y_reference()
+    period = SCRAMBLING_LFSR_PERIOD
+    idx = np.arange(length)
+    z = x[(idx + n) % period] ^ y[idx % period]
+    zq = x[(idx + n + 131072) % period] ^ y[(idx + 131072) % period]
+    return (1 - 2 * z.astype(np.int64)) + 1j * (1 - 2 * zq.astype(np.int64))
+
+
+class TestMSequences:
+    """The block-doubling m-sequence builder against the per-bit LFSRs."""
+
+    def test_x_bit_exact_over_full_period(self):
+        assert np.array_equal(codes._x_sequence(), _x_reference())
+
+    def test_y_bit_exact_over_full_period(self):
+        assert np.array_equal(codes._y_sequence(), _y_reference())
+
+    @pytest.mark.parametrize("seq", ["_x_sequence", "_y_sequence"])
+    def test_balance_and_period(self, seq):
+        s = getattr(codes, seq)()
+        assert s.size == SCRAMBLING_LFSR_PERIOD
+        # an m-sequence of degree 18 has 2^17 ones and 2^17 - 1 zeros
+        assert int(s.sum()) == 1 << 17
+
+    @pytest.mark.parametrize("n", [0, 1, 8191, 262142])
+    def test_frame_codes_match_reference(self, n):
+        assert np.array_equal(scrambling_code(n, 38400),
+                              _scrambling_reference(n, 38400))
 
 
 class TestOvsf:
